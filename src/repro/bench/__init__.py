@@ -695,7 +695,9 @@ def costmodel_derive(quick: bool) -> Dict[str, float]:
     curve = empty_poll_cost_curve(counts, cfg)
     wall = time.perf_counter() - t0
     clear_curve_cache()
-    # 2 warmup + 2 measure rounds per count, one access per doorbell.
+    # Modelled accesses: 2 warmup + 2 measure rounds per count, one per
+    # doorbell. Rounds the derivation replays after proving a fixed
+    # point still count, so rates stay comparable with older reports.
     accesses = 4 * sum(counts)
     return {
         "wall_seconds": wall,

@@ -10,11 +10,13 @@ Fast-path layout
 Structural accesses dominate execution-driven simulation (one per
 doorbell poll), so the per-set storage is a single preallocated flat
 tag array — set ``s`` owns slots ``[s * ways, (s + 1) * ways)`` in LRU
-order, least recent first — plus a per-set fill count. A hit rotates
-the tag to the MRU slot in place; a hit that is *already* MRU (the
-steady-state polling case: each doorbell line alone in its set) is a
-single compare with no data movement. No ``dict.setdefault``, no
-``list.remove`` scan, no per-access allocation.
+order, least recent first — plus a per-set fill count. An access scans
+its set once: :meth:`SetAssociativeCache.lookup` finds the line's slot
+and :meth:`SetAssociativeCache.touch` updates from it, so the hierarchy
+can ask "is it here?" before the directory lookup and apply the LRU
+update after it without a second scan. A hit rotates the tag to the MRU
+slot in place (nothing moves when it is already MRU). No
+``dict.setdefault``, no ``list.remove`` scan, no per-access allocation.
 
 Behaviour is bit-identical to the dict-of-LRU-lists reference model
 (:class:`repro.mem._reference.ReferenceSetAssociativeCache`), which the
@@ -121,15 +123,23 @@ class SetAssociativeCache:
 
     def contains(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is resident (no LRU update)."""
-        line_bytes = self.line_bytes
-        line = addr - addr % line_bytes
-        index = (line // line_bytes) & self._set_mask
-        base = index * self.ways
+        return self.lookup(addr - addr % self.line_bytes) >= 0
+
+    def lookup(self, line: int) -> int:
+        """Slot of the resident ``line`` (a line address), or -1; no update.
+
+        Pass the slot to :meth:`touch` to complete the access without
+        scanning the set a second time.
+        """
+        index = (line // self.line_bytes) & self._set_mask
+        slot = index * self.ways
+        top = slot + self._fill[index]
         tags = self._tags
-        for slot in range(base, base + self._fill[index]):
+        while slot < top:
             if tags[slot] == line:
-                return True
-        return False
+                return slot
+            slot += 1
+        return -1
 
     def access(self, addr: int) -> bool:
         """Touch ``addr``: returns True on hit; on miss, fills the line.
@@ -137,44 +147,42 @@ class SetAssociativeCache:
         A miss evicts the LRU line of the set if the set is full; the
         evicted line address is recorded in :attr:`last_evicted`.
         """
-        line_bytes = self.line_bytes
-        line = addr - addr % line_bytes
-        index = (line // line_bytes) & self._set_mask
-        ways = self.ways
-        base = index * ways
+        line = addr - addr % self.line_bytes
+        return self.touch(line, self.lookup(line))
+
+    def touch(self, line: int, slot: int) -> bool:
+        """:meth:`access` ``line``, given its :meth:`lookup` slot.
+
+        ``slot`` must be what :meth:`lookup` returned with no other
+        access to this cache in between.
+        """
+        self.last_evicted = None
+        stats = self.stats
+        index = (line // self.line_bytes) & self._set_mask
         tags = self._tags
         fill = self._fill
         n = fill[index]
-        self.last_evicted = None
-        stats = self.stats
-        if n:
-            top = base + n - 1
-            if tags[top] == line:
-                # Already MRU: nothing to rotate.
-                stats.hits += 1
-                return True
-            slot = base
-            while slot < top:
-                if tags[slot] == line:
-                    # Hit mid-set: rotate [slot..top] left one place so
-                    # the line lands in the MRU slot — same reordering
-                    # as the reference's remove + append.
-                    while slot < top:
-                        tags[slot] = tags[slot + 1]
-                        slot += 1
-                    tags[top] = line
-                    stats.hits += 1
-                    return True
-                slot += 1
-        stats.misses += 1
-        if n >= ways:
-            self.last_evicted = tags[base]
-            stats.evictions += 1
-            slot = base
-            top = base + ways - 1
+        if slot >= 0:
+            # Hit: rotate [slot..top] left one place so the line lands
+            # in the MRU slot — same reordering as the reference's
+            # remove + append (nothing moves if it is already MRU).
+            top = index * self.ways + n - 1
             while slot < top:
                 tags[slot] = tags[slot + 1]
                 slot += 1
+            tags[top] = line
+            stats.hits += 1
+            return True
+        stats.misses += 1
+        ways = self.ways
+        base = index * ways
+        if n >= ways:
+            self.last_evicted = tags[base]
+            stats.evictions += 1
+            top = base + ways - 1
+            while base < top:
+                tags[base] = tags[base + 1]
+                base += 1
             tags[top] = line
             return False
         tags[base + n] = line
@@ -183,26 +191,22 @@ class SetAssociativeCache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr``; returns whether it was present."""
-        line_bytes = self.line_bytes
-        line = addr - addr % line_bytes
-        index = (line // line_bytes) & self._set_mask
-        base = index * self.ways
-        tags = self._tags
+        line = addr - addr % self.line_bytes
+        slot = self.lookup(line)
+        if slot < 0:
+            return False
+        # Close the gap, preserving LRU order of the rest.
+        index = (line // self.line_bytes) & self._set_mask
         n = self._fill[index]
-        top = base + n - 1
-        slot = base
-        while slot <= top:
-            if tags[slot] == line:
-                # Close the gap, preserving LRU order of the rest.
-                while slot < top:
-                    tags[slot] = tags[slot + 1]
-                    slot += 1
-                tags[top] = _EMPTY
-                self._fill[index] = n - 1
-                self.stats.invalidations += 1
-                return True
+        top = index * self.ways + n - 1
+        tags = self._tags
+        while slot < top:
+            tags[slot] = tags[slot + 1]
             slot += 1
-        return False
+        tags[top] = _EMPTY
+        self._fill[index] = n - 1
+        self.stats.invalidations += 1
+        return True
 
     def resident_lines(self) -> int:
         """Number of lines currently resident."""

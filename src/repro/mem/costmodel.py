@@ -8,6 +8,25 @@ head, as a function of the total doorbell count. The curve is derived by
 actually running a polling loop through :class:`MemoryHierarchy`, so L1
 capacity, associativity conflicts, and LLC pressure come from the model
 rather than hand-waving.
+
+Cold derivation
+---------------
+Each curve point polls ``n`` doorbell lines round after round through a
+private, snooper-free hierarchy. After every round the derivation
+compares the hierarchy's whole state (:meth:`MemoryHierarchy.state`:
+L1 and LLC tag arrays and fill counts, ``last_evicted``, the
+directory's line entries) with its state after the previous round. If
+they are equal, the round ended where it started, so the next round
+starts there too, issues the same addresses, returns the same results
+and adds the same counter increments, and so does every round after
+it. From that point the derivation re-sums that round's results for
+each remaining measure round, in order (so float totals match to the
+last bit), and adds its counter deltas once per skipped round. The
+check is made after every round, never assumed; a state that has not
+repeated runs every round. A cyclic LRU scan, which is what a polling
+loop is, repeats after its first round, so a point costs two rounds
+instead of four. The differential suite pins the result against a
+derivation on :mod:`repro.mem._reference` that runs every round.
 """
 
 from __future__ import annotations
@@ -89,7 +108,9 @@ def derive_cost_model(
 # cache hit folds the same ``mem.*`` increments into an active metrics
 # registry that a fresh measurement would have — instrumented runs see
 # identical metrics either way. Set ``REPRO_CURVE_CACHE=0`` to disable
-# (the regression suites use it to prove cached == derived).
+# it, together with the per-fleet curve intern in
+# :mod:`repro.sdp.locality` (the regression suites use it to prove
+# cached == derived).
 
 _CURVE_CACHE: Dict[tuple, Tuple[Dict[int, float], Dict[str, float]]] = {}
 _CURVE_CACHE_STATS = {"hits": 0, "misses": 0}
@@ -133,7 +154,8 @@ def empty_poll_cost_curve(
     For each queue count ``n`` this runs a single core round-robin-polling
     ``n`` doorbell lines (one per cache line, as the driver lays them out)
     through the structural hierarchy, and averages the measured read
-    latency over the steady-state rounds.
+    latency over the steady-state rounds. Rounds that provably repeat
+    the previous one are replayed rather than run (module notes above).
 
     ``llc_doorbell_resident_fraction`` models competition for LLC capacity
     from task data: the fraction of doorbell-line LLC refs that actually
@@ -141,20 +163,25 @@ def empty_poll_cost_curve(
     data exceeds the LLC).
 
     Derivations are memoized process-wide by their full input identity;
-    see the module notes above.
+    see the memo notes above. Every input is checked before any work.
     """
+    counts = tuple(queue_counts)
     if not 0.0 <= llc_doorbell_resident_fraction <= 1.0:
         raise ValueError("resident fraction must be within [0, 1]")
+    if any(count <= 0 for count in counts):
+        raise ValueError("queue counts must be positive")
+    if warmup_rounds < 0 or measure_rounds < 1:
+        raise ValueError("need warmup_rounds >= 0 and measure_rounds >= 1")
     # The fast simulation never touches the structural models at run
     # time — these derivation runs are where mem.* cache/coherence
     # behaviour is actually measured, so fold each measured hierarchy's
     # counters into the ambient registry (if observability is on).
+    from repro.obs.probes import hierarchy_stats_snapshot, replay_hierarchy_stats
     from repro.obs.runtime import get_active_registry
 
     registry = get_active_registry()
     cfg = mem_config or MemConfig(num_cores=1)
 
-    counts = tuple(queue_counts)
     use_cache = _curve_cache_enabled()
     key = (
         counts,
@@ -169,50 +196,55 @@ def empty_poll_cost_curve(
             _CURVE_CACHE_STATS["hits"] += 1
             curve, stats = cached
             if registry is not None:
-                from repro.obs.probes import replay_hierarchy_stats
-
                 replay_hierarchy_stats(registry, stats)
             return dict(curve)
         _CURVE_CACHE_STATS["misses"] += 1
 
+    lat = cfg.latencies
+    # Expected latency of an LLC doorbell ref when some spill to DRAM.
+    llc_latency = (
+        llc_doorbell_resident_fraction * (lat.directory_lookup + lat.llc_hit)
+        + (1.0 - llc_doorbell_resident_fraction) * (lat.directory_lookup + lat.dram)
+    )
+    spills = llc_doorbell_resident_fraction < 1.0
     results: Dict[int, float] = {}
     aggregate_stats: Dict[str, float] = {}
     for count in counts:
-        if count <= 0:
-            raise ValueError("queue counts must be positive")
         hierarchy = MemoryHierarchy(cfg)
         base = 0x1000_0000
         addrs = [base + i * CACHE_LINE_BYTES for i in range(count)]
-        # One batched call per polling round (identical results to
-        # per-address hierarchy.read(0, addr) — see access_stream).
-        for _ in range(warmup_rounds):
-            hierarchy.access_stream(0, addrs)
+        state = hierarchy.state()
+        stats = hierarchy_stats_snapshot(hierarchy)
+        repeat = None  # counter deltas of a round that left the state as it was
         total = 0
         samples = 0
-        for _ in range(measure_rounds):
-            for result in hierarchy.access_stream(0, addrs):
-                latency = result.latency
-                if result.level == "LLC" and llc_doorbell_resident_fraction < 1.0:
-                    # Expected latency when some LLC refs spill to DRAM.
-                    lat = cfg.latencies
-                    llc = lat.directory_lookup + lat.llc_hit
-                    dram = lat.directory_lookup + lat.dram
-                    latency = (
-                        llc_doorbell_resident_fraction * llc
-                        + (1.0 - llc_doorbell_resident_fraction) * dram
-                    )
-                total += latency
+        for round_no in range(warmup_rounds + measure_rounds):
+            if repeat is None:
+                # One batched call per polling round (identical results
+                # to per-address hierarchy.read(0, addr)).
+                round_results = hierarchy.access_stream(0, addrs)
+                after = hierarchy_stats_snapshot(hierarchy)
+                new_state = hierarchy.state()
+                if new_state == state:
+                    repeat = {name: after[name] - stats[name] for name in after}
+                state, stats = new_state, after
+            else:
+                # Fixed point: this round would replay the last one.
+                for name, delta in repeat.items():
+                    stats[name] += delta
+            if round_no < warmup_rounds:
+                continue
+            for result in round_results:
+                if spills and result.level == "LLC":
+                    total += llc_latency
+                else:
+                    total += result.latency
                 samples += 1
         results[count] = total / samples
 
-        from repro.obs.probes import hierarchy_stats_snapshot
-
-        stats = hierarchy_stats_snapshot(hierarchy)
         for name, value in stats.items():
             aggregate_stats[name] = aggregate_stats.get(name, 0.0) + value
         if registry is not None:
-            from repro.obs.probes import replay_hierarchy_stats
-
             replay_hierarchy_stats(registry, stats)
     if use_cache:
         _CURVE_CACHE[key] = (dict(results), aggregate_stats)

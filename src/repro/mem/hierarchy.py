@@ -99,13 +99,18 @@ class MemoryHierarchy:
         line = addr - addr % self._line_bytes
         l1 = self.l1s[core]
         llc = self.llc
-        structurally_present = l1.contains(line)
-        in_llc = llc.contains(line)
+        # One scan per level: the slots found here (-1 on a miss) drive
+        # the residency updates below. Only the directory runs in
+        # between, and it touches no cache (snoop callbacks observe a
+        # transaction; they do not issue accesses of their own).
+        directory = self.directory
+        l1_slot = l1.lookup(line)
+        llc_slot = llc.lookup(line)
         if is_write:
-            result = self.directory.write(core, line, in_llc)
+            result = directory.write(core, line, llc_slot >= 0)
         else:
-            result = self.directory.read(core, line, in_llc)
-        if result.hit and not structurally_present:
+            result = directory.read(core, line, llc_slot >= 0)
+        if result.hit and l1_slot < 0:
             # Permission said hit but the line was evicted for capacity:
             # treat as an LLC refill (the directory still lists us).
             if result.invalidated:
@@ -116,10 +121,11 @@ class MemoryHierarchy:
                 result = self._r_llc_refill
         # Maintain structural residency (and propagate capacity evictions
         # to the directory so state stays consistent).
-        l1.access(line)
-        if l1.last_evicted is not None:
-            self.directory.evict(core, l1.last_evicted)
-        llc.access(line)
+        l1.touch(line, l1_slot)
+        evicted = l1.last_evicted
+        if evicted is not None:
+            directory.evict(core, evicted)
+        llc.touch(line, llc_slot)
         if result.invalidated:
             self._drop_remote_copies(core, line)
         return result
@@ -151,11 +157,11 @@ class MemoryHierarchy:
         individual latencies in advance.
         """
         l1 = self.l1s[core]
+        access = self._access
         results: List[AccessResult] = []
         if write:
-            access_write = self.write
             for addr in addrs:
-                result = access_write(core, addr)
+                result = access(core, addr, True)
                 results.append(result)
                 if cycle_budget is not None:
                     cycle_budget -= result.latency
@@ -163,7 +169,6 @@ class MemoryHierarchy:
                         break
             return results
         append = results.append
-        read = self.read
         line_bytes = self._line_bytes
         llc = self.llc
         directory = self.directory
@@ -211,7 +216,7 @@ class MemoryHierarchy:
                 llc_stats.hits += pending
                 pending = 0
             fast_tail = False
-            result = read(core, addr)
+            result = access(core, addr, False)
             append(result)
             if budgeted:
                 acc += result.latency
@@ -283,6 +288,25 @@ class MemoryHierarchy:
                 l1.invalidate(line)
 
     # -- diagnostics ---------------------------------------------------------
+
+    def state(self) -> tuple:
+        """A copy of everything that decides future results; compare with ``==``.
+
+        Cache tag arrays and fill counts, ``last_evicted``, and the
+        directory's line entries. Two hierarchies of one geometry in
+        equal states return equal results, make equal counter
+        increments and reach equal states for any access sequence. The
+        counters are not part of it: nothing reads them.
+        """
+        caches = tuple(
+            (cache._tags.copy(), cache._fill.copy(), cache.last_evicted)
+            for cache in (*self.l1s, self.llc)
+        )
+        lines = {
+            line: (owner, dirty, frozenset(sharers))
+            for line, (owner, dirty, sharers) in self.directory._lines.items()
+        }
+        return caches, lines
 
     def check_invariants(self) -> None:
         """Directory SWMR plus L1/directory residency consistency."""

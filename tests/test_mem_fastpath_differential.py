@@ -6,7 +6,10 @@ observable behaviour to the originals preserved in
 ``repro.mem._reference``. These tests drive both sides with identical
 seeded random scripts and compare everything observable after every
 operation: results, stats, ``last_evicted``, transaction counters,
-snoop-callback sequences, MESI states, and invariants.
+snoop-callback sequences, MESI states, and invariants. The curve-level
+oracle at the end re-derives whole empty-poll cost curves on the
+reference models, running every polling round, and compares them with
+:func:`repro.mem.costmodel.empty_poll_cost_curve`.
 """
 
 import random
@@ -21,7 +24,12 @@ from repro.mem._reference import (
 )
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.coherence import Directory, LatencyConfig, TransactionKind
+from repro.mem.costmodel import clear_curve_cache, empty_poll_cost_curve
 from repro.mem.hierarchy import MemConfig, MemoryHierarchy
+from repro.obs.probes import hierarchy_stats_snapshot
+from repro.obs.registry import MetricsRegistry
+from repro.obs.runtime import active_registry
+from repro.sdp.locality import _CURVE_POINTS, _polling_mem_config
 
 LINE = 64
 
@@ -249,3 +257,115 @@ def test_steady_read_probe_and_bulk_commit():
     # A foreign write breaks steadiness (the probe notices).
     bulk.write(1, doorbells[0])
     assert not bulk.all_steady_reads(0, doorbells)
+
+
+# -- curve-level oracle -------------------------------------------------------
+
+
+def reference_curve(counts, cfg, resident, warmup_rounds, measure_rounds):
+    """The cost-curve derivation on the reference models, every round run.
+
+    Returns the curve and the aggregate counter snapshot over all its
+    hierarchies, as the cost-curve memo stores it.
+    """
+    lat = cfg.latencies
+    curve, aggregate = {}, {}
+    for count in counts:
+        hierarchy = ReferenceMemoryHierarchy(cfg)
+        addrs = [0x1000_0000 + i * LINE for i in range(count)]
+        for _ in range(warmup_rounds):
+            for addr in addrs:
+                hierarchy.read(0, addr)
+        total = 0
+        samples = 0
+        for _ in range(measure_rounds):
+            for addr in addrs:
+                result = hierarchy.read(0, addr)
+                latency = result.latency
+                if result.level == "LLC" and resident < 1.0:
+                    latency = resident * (lat.directory_lookup + lat.llc_hit) + (
+                        1.0 - resident
+                    ) * (lat.directory_lookup + lat.dram)
+                total += latency
+                samples += 1
+        curve[count] = total / samples
+        for name, value in hierarchy_stats_snapshot(hierarchy).items():
+            aggregate[name] = aggregate.get(name, 0.0) + value
+    return curve, aggregate
+
+
+def _mem_counters(registry):
+    return {
+        record["name"]: record["value"]
+        for record in registry.collect()
+        if record["name"].startswith("mem.") and record["type"] == "counter"
+    }
+
+
+def _small_llc_config():
+    # A 1,024-line LLC under counts up to 2,048: DRAM fills and LLC evictions.
+    return MemConfig(
+        num_cores=1,
+        l1=CacheConfig(size_bytes=8 * 1024, ways=4),
+        llc_per_core=CacheConfig(size_bytes=64 * 1024, ways=16),
+    )
+
+
+_CLIFF_COUNTS = (1, 64, 96, 128, 160, 384, 1024)
+
+CURVE_CASES = {
+    "active-l1-8k": (_polling_mem_config, _CURVE_POINTS, 1.0, 2, 2),
+    "idle-l1-32k": (lambda: MemConfig(num_cores=1), _CURVE_POINTS, 1.0, 2, 2),
+    "four-cores": (lambda: MemConfig(num_cores=4), (64, 256, 1024, 4096), 1.0, 2, 2),
+    "resident-0.37": (_polling_mem_config, _CLIFF_COUNTS, 0.37, 2, 2),
+    "rounds-0-1": (_polling_mem_config, _CLIFF_COUNTS, 0.73, 0, 1),
+    "rounds-1-3": (_polling_mem_config, _CLIFF_COUNTS, 0.73, 1, 3),
+    "rounds-3-1": (_polling_mem_config, _CLIFF_COUNTS, 0.73, 3, 1),
+    "rounds-2-2": (_polling_mem_config, _CLIFF_COUNTS, 0.73, 2, 2),
+    "small-llc": (_small_llc_config, (64, 512, 1024, 1536, 2048), 0.5, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+def test_cost_curve_matches_reference_derivation(case, monkeypatch):
+    """Curves and mem.* counters equal a derivation on the reference
+    models that runs every warm-up and measure round."""
+    make_config, counts, resident, warmup, measure = CURVE_CASES[case]
+    cfg = make_config()
+    expected_curve, expected_stats = reference_curve(counts, cfg, resident, warmup, measure)
+    expected_counters = {f"mem.{name}": value for name, value in expected_stats.items()}
+    if case == "small-llc":
+        assert expected_stats["llc.evictions"] > 0
+
+    def derive():
+        return empty_poll_cost_curve(
+            counts,
+            cfg,
+            llc_doorbell_resident_fraction=resident,
+            warmup_rounds=warmup,
+            measure_rounds=measure,
+        )
+
+    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
+    registry = MetricsRegistry(enabled=True)
+    with active_registry(registry):
+        curve = derive()
+    assert {k: repr(v) for k, v in curve.items()} == {
+        k: repr(v) for k, v in expected_curve.items()
+    }
+    assert _mem_counters(registry) == expected_counters
+
+    # What the memo stores is what a later hit replays.
+    monkeypatch.delenv("REPRO_CURVE_CACHE")
+    clear_curve_cache()
+    try:
+        derive()
+        registry = MetricsRegistry(enabled=True)
+        with active_registry(registry):
+            cached = derive()
+    finally:
+        clear_curve_cache()
+    assert {k: repr(v) for k, v in cached.items()} == {
+        k: repr(v) for k, v in expected_curve.items()
+    }
+    assert _mem_counters(registry) == expected_counters

@@ -106,6 +106,103 @@ def test_system_build_uses_curve_cache():
     assert locality._SHARED_CURVES
 
 
+def test_rejected_curve_call_derives_nothing():
+    # Validation runs before any derivation, so a bad count late in the
+    # list neither records a memo miss nor folds mem.* counters.
+    registry = MetricsRegistry(enabled=True)
+    rejected = (
+        {"queue_counts": [4, 0]},
+        {"queue_counts": [4, -2], "llc_doorbell_resident_fraction": 0.5},
+        {"queue_counts": [4], "llc_doorbell_resident_fraction": 1.5},
+        {"queue_counts": [4], "measure_rounds": 0},
+        {"queue_counts": [4], "warmup_rounds": -1},
+    )
+    with active_registry(registry):
+        for kwargs in rejected:
+            with pytest.raises(ValueError):
+                empty_poll_cost_curve(**kwargs)
+    assert curve_cache_info() == {"entries": 0, "hits": 0, "misses": 0}
+    assert registry.collect() == []
+
+
+def test_curve_cache_switch_reaches_locality_intern(monkeypatch):
+    from repro.mem.costmodel import derive_cost_model
+    from repro.sdp import locality
+
+    derivations = []
+    derive = locality.empty_poll_cost_curve
+
+    def counting(*args, **kwargs):
+        derivations.append(args[0])
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(locality, "empty_poll_cost_curve", counting)
+
+    def build_two_models():
+        locality.clear_shared_curves()
+        derivations.clear()
+        for _ in range(2):
+            locality.LocalityModel(derive_cost_model()).empty_poll_cost(64)
+        return len(derivations)
+
+    assert build_two_models() == 1  # the second model reuses the interned curve
+    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
+    assert build_two_models() == 2
+    assert not locality._SHARED_CURVES
+    locality.clear_shared_curves()
+
+
+# -- cold derivation ---------------------------------------------------------
+
+
+def test_hierarchy_state_tracks_residency_not_counters():
+    from repro.mem.hierarchy import MemoryHierarchy
+
+    hierarchy = MemoryHierarchy(MemConfig(num_cores=2))
+    cold = hierarchy.state()
+    hierarchy.read(0, 0x1000)
+    warm = hierarchy.state()
+    assert warm != cold  # a detached copy, not a view
+    hierarchy.read(0, 0x1000)  # an MRU hit moves counters only
+    assert hierarchy.state() == warm
+    hierarchy.write(1, 0x1000)  # ownership moves to core 1
+    assert hierarchy.state() != warm
+
+
+def _count_rounds(monkeypatch, drift=False):
+    """Derive a curve, returning how many polling rounds actually ran.
+
+    With ``drift``, every round also reads one line never read before,
+    so the hierarchy's state never repeats.
+    """
+    from repro.mem.hierarchy import MemoryHierarchy
+
+    rounds = []
+    stream = MemoryHierarchy.access_stream
+    fresh = iter(range(0x2000_0000, 0x3000_0000, 64))
+
+    def counting(self, core, addrs, *args, **kwargs):
+        rounds.append(len(addrs))
+        results = stream(self, core, addrs, *args, **kwargs)
+        if drift:
+            self.read(core, next(fresh))
+        return results
+
+    monkeypatch.setattr(MemoryHierarchy, "access_stream", counting)
+    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
+    empty_poll_cost_curve((16, 256, 1024), warmup_rounds=2, measure_rounds=3)
+    monkeypatch.undo()
+    return rounds
+
+
+def test_curve_rounds_stop_at_a_proven_fixed_point(monkeypatch):
+    # A cyclic LRU scan ends its second round in the state its first
+    # left, so the other three of the five rounds are replayed, not run.
+    assert _count_rounds(monkeypatch) == [16, 16, 256, 256, 1024, 1024]
+    # A state that never repeats runs every round.
+    assert _count_rounds(monkeypatch, drift=True) == [16] * 5 + [256] * 5 + [1024] * 5
+
+
 # -- structural spin batching ------------------------------------------------
 
 
