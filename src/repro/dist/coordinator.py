@@ -150,6 +150,8 @@ class DistOptions:
             raise ValueError("timeouts must be positive")
         if self.backoff_s < 0 or self.backoff_cap_s <= 0:
             raise ValueError("backoff must be non-negative, its cap positive")
+        if self.heartbeat_events < 1:
+            raise ValueError("heartbeat_events must be >= 1")
         if (self.crash_worker is None) != (self.crash_worker_at is None):
             raise ValueError("crash_worker and crash_worker_at go together")
         if self.telemetry_interval_s < 0:

@@ -420,15 +420,7 @@ class WorkerHost:
         return block
 
     def _handle_step(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        windows = msg.get("windows")
-        if windows is None:
-            # Legacy single-window shape (one flat step per RPC).
-            windows = [{
-                "until": msg["until"],
-                "dispatches": msg.get("dispatches", []),
-                "faults": msg.get("faults", []),
-            }]
-        blocks = [self._run_window(window) for window in windows]
+        blocks = [self._run_window(window) for window in msg["windows"]]
         reply = {
             "type": "step_ok",
             "worker_id": self.worker_id,

@@ -190,15 +190,10 @@ class ClusterScaleoutConfig(BackendConfig):
     ``trace`` runs the sweep under a causal tracer and appends the
     per-mechanism latency decomposition to the notes.
 
-    ``backend``: ``event`` runs the full rack simulator everywhere;
-    ``vec`` / ``surrogate`` run a *hybrid* — the no-fault scale rows are
-    approximated by batching every server as an independent vec lane at
-    its balancer-derived load share and pooling the fleet tail
-    analytically, while the fault rows (crash / straggler /
-    link-degrade semantics only the rack models) always run the exact
-    event path (see docs/vectorized.md); ``dist`` runs every grid point
-    across a fleet of worker processes over loopback sockets
-    (``workers`` per point, capped at the point's server count) via
+    ``backend``: ``event`` runs every grid point on the in-process
+    rack simulator; ``dist`` runs every grid point across a fleet of
+    worker processes over loopback sockets (``workers`` per point,
+    capped at the point's server count) via
     :func:`repro.dist.run_cluster_dist` — bit-exact with the event rack
     for rss placement, statistically equivalent otherwise (see
     docs/distributed.md). ``speed_factor`` paces the dist replay
@@ -216,7 +211,7 @@ class ClusterScaleoutConfig(BackendConfig):
     telemetry: bool = False
     telemetry_out: Optional[str] = None
 
-    supported_backends = ("event", "vec", "surrogate", "dist")
+    supported_backends = ("event", "dist")
 
     def __post_init__(self):
         super().__post_init__()
@@ -233,7 +228,7 @@ class ClusterScaleoutConfig(BackendConfig):
         if (self.telemetry or self.telemetry_out) and self.backend != "dist":
             raise UsageError(
                 "telemetry requires backend='dist' (live frames stream "
-                "from worker processes; the in-process backends have "
+                "from worker processes; the in-process event backend has "
                 "none)"
             )
 
@@ -244,219 +239,6 @@ def run(config: Optional[ClusterScaleoutConfig] = None) -> ExperimentResult:
     from repro.experiments.base import run_with_tracing
 
     return run_with_tracing(config, lambda: _run_grid(config))
-
-
-def _flow_placement(
-    servers: int, balancer: str, seed: int
-) -> List[Tuple[float, List[float]]]:
-    """Per-server (arrival share, per-flow weights) under one policy.
-
-    ``rss`` replays the rack's own flow placement (same hash ring, same
-    ring seed, same Zipf flow weights), so hashed imbalance is exact.
-    The per-request policies spread every flow uniformly in the long
-    run: each server sees the whole (sticky-per-server) flow mix at
-    ``1/N`` of the fleet rate.
-    """
-    from repro.cluster.rack import flow_weights
-
-    weights = flow_weights(FLOWS_PER_SERVER * servers, FLOW_SKEW)
-    total = sum(weights)
-    if balancer != "rss":
-        return [(1.0 / servers, list(weights))] * servers
-    from repro.cluster.balancer import HashRing
-    from repro.sim.rng import derive_seed
-
-    ring_seed = derive_seed(seed, "cluster.ring")
-    ring = HashRing(servers, seed=ring_seed)
-    live = [True] * servers
-    per_server: List[List[float]] = [[] for _ in range(servers)]
-    for flow, weight in enumerate(weights):
-        per_server[ring.lookup(ring.key(flow, ring_seed), live)].append(weight)
-    return [(sum(flows) / total, flows) for flows in per_server]
-
-
-def _mixture_quantile(shares, scales, quantile: float) -> float:
-    """The fleet-level latency quantile of a share-weighted mixture.
-
-    Each server's tail is modelled as exponential anchored on its own
-    quantile at the same level: P_s(X > x) = (1-q) ** (x / scale_s).
-    Bisection solves sum(share_s * P_s(x)) = 1 - q.
-    """
-    import math
-
-    tail = 1.0 - quantile
-    log_tail = math.log(tail)
-
-    def excess(x: float) -> float:
-        return sum(
-            share * math.exp(log_tail * x / scale) if scale > 0 else 0.0
-            for share, scale in zip(shares, scales)
-        ) - tail
-
-    low, high = 0.0, max(scales) * 4 + 1e-9
-    while excess(high) > 0:
-        high *= 2
-    for _ in range(60):
-        mid = (low + high) / 2
-        if excess(mid) > 0:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2
-
-
-def _spinning_polling_anchors(fleet_rate: float, placement) -> Tuple[
-    List[float], List[float], List[float], List[float], List[float]
-]:
-    """Per-(server, flow-queue) latency anchors for a spinning fleet.
-
-    A spinning server whose traffic sticks to a few flow-queues is a
-    *1-limited polling system* (the scan serves one item per ready
-    queue per ring pass — see repro.sdp.spinning), which the vec FCFS
-    recursion cannot represent. Model it analytically instead: ring
-    walk time ``V`` per cycle, cycle time ``T = V / (1 - rho)``, and
-    each flow-queue an M/G/1-ish station served once per cycle with
-    wait ``T/2 + T * rho_q / (2 (1 - rho_q))``, exponential-tailed.
-
-    A queue with ``rho_q = lambda_q * T >= 1`` is *unstable*: its
-    backlog ramps for the whole run, so a task arriving at time ``t``
-    waits an extra ``(rho_q - 1) * t``. That transient — not any steady
-    state — is what makes hashed spinning fleets blow up super-linearly,
-    so the anchors add the ramp evaluated over the measurement window.
-    Returns (weights, p50, p99, p999, mean) anchor lists in us.
-    """
-    import math
-
-    from repro.mem.costmodel import derive_cost_model
-    from repro.sdp.locality import LocalityModel
-    from repro.workloads.service import workload_by_name
-
-    frequency_hz = 3.0e9
-    cost_model = derive_cost_model()
-    locality = LocalityModel(cost_model)
-    spec = workload_by_name(ClusterConfig(num_servers=1).workload)
-    empty_poll = locality.empty_poll_cost(QUEUES_PER_SERVER, QUEUES_PER_SERVER)
-    stall = locality.task_data_stall_cycles(QUEUES_PER_SERVER)
-    walk_s = QUEUES_PER_SERVER * empty_poll / frequency_hz
-    task_s = spec.mean_service_seconds + (
-        cost_model.dequeue + cost_model.doorbell_update + stall
-    ) / frequency_hz
-
-    weights: List[float] = []
-    p50s: List[float] = []
-    p99s: List[float] = []
-    p999s: List[float] = []
-    means: List[float] = []
-    for share, flows in placement:
-        if not flows:
-            continue
-        server_rate = fleet_rate * share
-        rho = min(server_rate * task_s, 0.90)
-        cycle_s = walk_s / (1.0 - rho)
-        flow_total = sum(flows)
-        for weight in flows:
-            flow_rate = server_rate * weight / flow_total
-            rho_q_raw = flow_rate * cycle_s
-            rho_q = min(rho_q_raw, 0.95)
-            wait_s = cycle_s / 2 + cycle_s * rho_q / (2 * (1 - rho_q))
-            # Unstable queue: deterministic backlog ramp over the run.
-            # A task arriving at time t waits (rho_q - 1) * t extra;
-            # arrivals are uniform over [0, DURATION], warmup discarded.
-            over = max(rho_q_raw - 1.0, 0.0)
-            window = DURATION - WARMUP
-            ramp = lambda q: over * (WARMUP + q * window) * 1e6  # noqa: E731
-            base_us = task_s * 1e6
-            wait_us = wait_s * 1e6
-            weights.append(share * weight / flow_total)
-            p50s.append(base_us + wait_us * math.log(2) + ramp(0.50))
-            p99s.append(base_us + wait_us * math.log(100) + ramp(0.99))
-            p999s.append(base_us + wait_us * math.log(1000) + ramp(0.999))
-            means.append(base_us + wait_us + ramp(0.50))
-    return weights, p50s, p99s, p999s, means
-
-
-def _vec_scale_rows(config: ClusterScaleoutConfig, points: List[Point]) -> List[Dict[str, object]]:
-    """Approximate the no-fault scale rows without the rack simulator.
-
-    HyperPlane servers become batched open-loop vec lanes at their
-    balancer-derived load shares (deduplicated — uniform policies
-    collapse to one point per fleet). Spinning servers use the
-    1-limited-polling anchors instead (their sticky flow-queues break
-    the FCFS lane model; see :func:`_spinning_polling_anchors`). Fleet
-    p50/p99/p999 pool the per-server/per-queue anchors with an
-    exponential-tail mixture, plus the one-way access-link delay the
-    rack measures (balancer-to-completion).
-    """
-    from repro.vec.arrays import SweepPoint
-    from repro.vec.backend import latency_grid
-    from repro.workloads.service import workload_by_name
-
-    defaults = ClusterConfig(num_servers=1)
-    link_shift_us = (
-        defaults.link_propagation_s
-        + defaults.request_bytes * 8 / (defaults.link_gbps * 1e9)
-    ) * 1e6
-    mean_service = workload_by_name(defaults.workload).mean_service_seconds
-
-    sweep_points: List[SweepPoint] = []
-    sweep_index: Dict[float, int] = {}
-    plan = []  # (row point, placement, per-server sweep indices or None)
-    for point in points:
-        servers, balancer, system, _profile, seed, _completions = point
-        placement = _flow_placement(servers, balancer, seed)
-        indices = None
-        if system == "hyperplane":
-            indices = []
-            for share, _flows in placement:
-                rho = min(LOAD * servers * share, 0.90)
-                if rho not in sweep_index:
-                    sweep_index[rho] = len(sweep_points)
-                    sweep_points.append(
-                        SweepPoint(
-                            defaults.workload,
-                            defaults.shape,
-                            QUEUES_PER_SERVER,
-                            mechanism="hyperplane",
-                            num_cores=1,
-                            load=rho,
-                        )
-                    )
-                indices.append(sweep_index[rho])
-        plan.append((point, placement, indices))
-
-    res = latency_grid(sweep_points, seed=config.seed) if sweep_points else None
-    rows: List[Dict[str, object]] = []
-    for (servers, balancer, system, profile, _seed, _completions), placement, indices in plan:
-        fleet_rate = LOAD * servers / mean_service
-        if indices is not None:
-            weights = [share for share, _flows in placement]
-            p50s = [float(res.p50_us[i]) for i in indices]
-            p99s = [float(res.p99_us[i]) for i in indices]
-            means = [float(res.mean_us[i]) for i in indices]
-            # p999 from the same exponential-tail model the mixture
-            # uses: p999 = p99 * ln(1000) / ln(100).
-            p999s = [p99 * 1.5 for p99 in p99s]
-        else:
-            weights, p50s, p99s, p999s, means = _spinning_polling_anchors(
-                fleet_rate, placement
-            )
-        rows.append(
-            {
-                "servers": servers,
-                "system": system,
-                "balancer": balancer,
-                "fault": profile,
-                "p50_us": _mixture_quantile(weights, p50s, 0.50) + link_shift_us,
-                "p99_us": _mixture_quantile(weights, p99s, 0.99) + link_shift_us,
-                "p999_us": _mixture_quantile(weights, p999s, 0.999) + link_shift_us,
-                "avg_us": sum(w * m for w, m in zip(weights, means)) / sum(weights)
-                + link_shift_us,
-                "hottest_share": max(share for share, _flows in placement),
-                "lost": 0,
-                "redispatched": 0,
-            }
-        )
-    return rows
 
 
 def _run_grid(config: ClusterScaleoutConfig) -> ExperimentResult:
@@ -490,11 +272,6 @@ def _run_grid(config: ClusterScaleoutConfig) -> ExperimentResult:
         finally:
             if sink is not None:
                 sink.close()
-    elif config.backend != "event":
-        scale_points = [p for p in points if p[3] == "none"]
-        fault_points = [p for p in points if p[3] != "none"]
-        rows = _vec_scale_rows(config, scale_points)
-        rows += parallel_map(scaleout_point, fault_points, processes=processes)
     else:
         rows = parallel_map(scaleout_point, points, processes=processes)
     result = ExperimentResult(
@@ -536,15 +313,6 @@ def _run_grid(config: ClusterScaleoutConfig) -> ExperimentResult:
             f"{result.dist_info['transport']} transport); rss rows are "
             "bit-exact with the event rack, per-request policies are "
             "statistically equivalent; see docs/distributed.md"
-        )
-    elif config.backend != "event":
-        from repro.vec.backend import vec_provenance
-
-        result.vec_info = vec_provenance(backend=config.backend)
-        result.notes.append(
-            f"backend={config.backend} hybrid: scale rows pooled from "
-            "batched per-server vec lanes (analytic tail mixture), fault "
-            "rows from the exact rack simulator; see docs/vectorized.md"
         )
 
     biggest = max(row["servers"] for row in rows)

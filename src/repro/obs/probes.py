@@ -27,7 +27,7 @@ registry is enabled.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs.registry import MetricsRegistry
 
@@ -288,22 +288,3 @@ def instrument_rack(registry: MetricsRegistry, rack, prefix: str = "cluster") ->
         registry.gauge(f"{base}.dispatched", help="requests steered to this server",
                        fn=(lambda s: lambda: s.dispatched)(server))
 
-
-def maybe_instrument_system(system) -> Optional[MetricsRegistry]:
-    """Self-instrumentation entry point for :class:`DataPlaneSystem`."""
-    from repro.obs.runtime import get_active_registry
-
-    registry = get_active_registry()
-    if registry is not None:
-        instrument_system(registry, system)
-    return registry
-
-
-def maybe_instrument_rack(rack) -> Optional[MetricsRegistry]:
-    """Self-instrumentation entry point for :class:`Rack`."""
-    from repro.obs.runtime import get_active_registry
-
-    registry = get_active_registry()
-    if registry is not None:
-        instrument_rack(registry, rack)
-    return registry

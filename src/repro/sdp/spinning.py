@@ -199,11 +199,10 @@ class FastSpinningCore:
         self._deliveries: Deque[tuple] = deque()
         self._parked = False
         self._local_of = cluster.local_of
-        # Direct heap access for the collapsed-turn T2 event (None on the
-        # calendar backend, which keeps the schedule_at path). T2 > now
+        # Direct heap access for the collapsed-turn T2 event: T2 > now
         # always holds (scan and service are positive), so schedule_at's
-        # past-time guard cannot trip on this call site.
-        self._heap = sim._heap if sim._queue is None else None
+        # past-time guard can be skipped on this call site.
+        self._heap = sim._heap
         # Same bootstrap slot as the generator core's spawned process.
         sim.schedule(0.0, self._turn)
 
@@ -317,27 +316,16 @@ class FastSpinningCore:
                     activity.useless_instructions += (
                         (empty_polls + 1) * INSTRUCTIONS_PER_POLL
                     )
-                    heap = self._heap
-                    if heap is not None:
-                        heappush(
-                            heap,
-                            (
-                                t2,
-                                sim._sequence,
-                                self._finish,
-                                (item, local_index, service_cycles, overhead),
-                            ),
-                        )
-                        sim._sequence += 1
-                    else:
-                        sim.schedule_at(
+                    heappush(
+                        self._heap,
+                        (
                             t2,
+                            sim._sequence,
                             self._finish,
-                            item,
-                            local_index,
-                            service_cycles,
-                            overhead,
-                        )
+                            (item, local_index, service_cycles, overhead),
+                        ),
+                    )
+                    sim._sequence += 1
                     return
         sim.schedule_at(t1, self._after_scan, local_index, empty_polls, scan)
 

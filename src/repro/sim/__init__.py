@@ -3,8 +3,8 @@
 A small, deterministic, generator-based discrete-event kernel in the style
 of SimPy, specialised for cycle-approximate architecture simulation:
 
-- :class:`~repro.sim.engine.Simulator` — event scheduler (binary-heap
-  fast path, optional calendar-queue backend for dense timer loads).
+- :class:`~repro.sim.engine.Simulator` — event scheduler over one
+  binary heap.
 - :class:`~repro.sim.engine.Handle` — lazily-cancellable timer handle
   from :meth:`~repro.sim.engine.Simulator.schedule_handle`.
 - :class:`~repro.sim.events.Event` — one-shot triggerable events.
@@ -19,7 +19,6 @@ Everything in the reproduction (cores, producers, accelerator) runs on top
 of this kernel, so simulations are deterministic for a given seed.
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.clock import Clock
 from repro.sim.engine import Handle, SimulationError, Simulator
 from repro.sim.events import Event
@@ -27,7 +26,6 @@ from repro.sim.process import Process, ProcessKilled
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "CalendarQueue",
     "Clock",
     "Event",
     "Handle",

@@ -4,16 +4,8 @@
 callbacks. Time is a float in *seconds*; architecture components convert
 to cycles through :class:`repro.sim.clock.Clock`. Determinism: ties in
 time break by insertion sequence number, so a given seed always replays
-the exact same schedule.
-
-Two pending-event backends share that contract:
-
-- ``"heap"`` (default) — a binary heap, inlined into a hoisted-locals
-  dispatch loop. This is the fast path every simulation runs on.
-- ``"calendar"`` — a bucketed calendar queue
-  (:class:`repro.sim.calendar.CalendarQueue`), O(1) amortised for dense,
-  homogeneous timer populations. Same ordering, same results; pick it
-  per :class:`Simulator` when profiling shows heap churn dominates.
+the exact same schedule. Pending events live in one binary heap,
+dispatched by a hoisted-locals loop.
 
 Cancellation is *lazy*: :meth:`Simulator.schedule_handle` returns a
 :class:`Handle` whose :meth:`~Handle.cancel` marks the entry dead in
@@ -28,8 +20,6 @@ import math
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event
-
-_BACKENDS = ("heap", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -72,13 +62,6 @@ class Handle:
 class Simulator:
     """A deterministic discrete-event scheduler.
 
-    Parameters
-    ----------
-    backend:
-        Pending-queue implementation, ``"heap"`` (default) or
-        ``"calendar"``. Event ordering — and therefore every simulated
-        result — is identical across backends.
-
     Examples
     --------
     >>> sim = Simulator()
@@ -93,28 +76,17 @@ class Simulator:
     __slots__ = (
         "_now",
         "_heap",
-        "_queue",
         "_sequence",
         "_running",
         "_stopped",
         "_until",
-        "backend",
         "events_dispatched",
         "process_wakes",
     )
 
-    def __init__(self, backend: str = "heap"):
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; known: {_BACKENDS}")
-        self.backend = backend
+    def __init__(self):
         self._now = 0.0
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        if backend == "calendar":
-            from repro.sim.calendar import CalendarQueue
-
-            self._queue = CalendarQueue()
-        else:
-            self._queue = None
         self._sequence = 0
         self._running = False
         self._stopped = False
@@ -134,12 +106,8 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0 or math.isnan(delay):
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        entry = (self._now + delay, self._sequence, callback, args)
+        heapq.heappush(self._heap, (self._now + delay, self._sequence, callback, args))
         self._sequence += 1
-        if self._queue is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._queue.push(entry)
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute time ``when``."""
@@ -147,12 +115,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (when={when!r}, now={self._now!r})"
             )
-        entry = (when, self._sequence, callback, args)
+        heapq.heappush(self._heap, (when, self._sequence, callback, args))
         self._sequence += 1
-        if self._queue is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._queue.push(entry)
 
     def schedule_handle(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -201,10 +165,11 @@ class Simulator:
         until:
             Stop once simulated time would exceed this bound; the clock
             is left exactly at ``until`` (even if the queue drained
-            earlier — the idle tail is fast-forwarded in one step).
+            earlier — the idle tail is fast-forwarded in one step). A
+            bound before :attr:`now` raises :class:`SimulationError`.
         max_events:
             Safety valve for runaway simulations; the clock is left at
-            the last dispatched event.
+            the last dispatched event. Must be at least 1.
 
         Both bounds may be combined; whichever trips first wins. A
         :meth:`stop` call from a callback also ends the run, leaving the
@@ -217,13 +182,17 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is not None and (until < self._now or math.isnan(until)):
+            raise SimulationError(
+                f"cannot run into the past (until={until!r}, now={self._now!r})"
+            )
+        if max_events is not None and max_events < 1:
+            raise SimulationError(f"max_events must be >= 1 (got {max_events!r})")
         self._running = True
         self._stopped = False
         self._until = math.inf if until is None else until
         dispatched = 0
         try:
-            if self._queue is not None:
-                return self._run_generic(until, max_events)
             # The hot path: locals hoisted, heap ops resolved once.
             # ``events_dispatched`` is folded in by the finally block so
             # the loop body touches only locals; ``self._now`` must be
@@ -251,32 +220,6 @@ class Simulator:
             self._running = False
             self._until = math.inf
 
-    def _run_generic(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        """The backend-agnostic dispatch loop (non-heap queues)."""
-        queue = self._queue
-        dispatched = 0
-        try:
-            while len(queue):
-                when = queue.peek_time()
-                if until is not None and when > until:
-                    self._now = until
-                    return until
-                entry = queue.pop()
-                self._now = entry[0]
-                entry[2](*entry[3])
-                dispatched += 1
-                if self._stopped:
-                    return self._now
-                if max_events is not None and dispatched >= max_events:
-                    return self._now
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self.events_dispatched += dispatched
-
     @property
     def run_until(self) -> float:
         """The active :meth:`run` time bound (``inf`` outside a bounded run).
@@ -289,13 +232,9 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
-        if self._queue is not None:
-            return self._queue.peek_time() if len(self._queue) else math.inf
         return self._heap[0][0] if self._heap else math.inf
 
     @property
     def pending(self) -> int:
         """Number of callbacks waiting in the queue (cancelled included)."""
-        if self._queue is not None:
-            return len(self._queue)
         return len(self._heap)

@@ -174,6 +174,9 @@ def test_cli_usage_errors_exit_2(capsys):
     assert "error:" in err and "dist" in err
     assert main(["cluster_scaleout", "--backend", "warp"]) == 2
     assert "expected one of" in capsys.readouterr().err
+    # vec/surrogate are registered backends, but not for the rack grid.
+    assert main(["cluster_scaleout", "--backend", "vec"]) == 2
+    assert "expected one of ['event', 'dist']" in capsys.readouterr().err
 
 
 def test_cli_worker_spawn_failure_exits_1(capsys, monkeypatch):

@@ -318,6 +318,9 @@ def test_dist_options_validates_wire_and_lookahead():
         DistOptions(lookahead=0)
     with pytest.raises(ValueError, match="backoff"):
         DistOptions(backoff_cap_s=0.0)
+    # Feeds the worker's run(max_events=...), which rejects < 1.
+    with pytest.raises(ValueError, match="heartbeat_events"):
+        DistOptions(heartbeat_events=0)
 
 
 # -- CLI boundary: --workers / --transport ------------------------------------

@@ -4,9 +4,9 @@ The two contracts everything else rests on:
 
 1. A traced run's *simulated* results are bit-identical to an untraced
    run — probes observe, they never schedule. Checked against the fast
-   model (heap and calendar backends, all four notification
-   mechanisms), the execution-driven structural model (spin
-   fast-forward batching active), and the rack simulation.
+   model (all four notification mechanisms), the execution-driven
+   structural model (spin fast-forward batching active), and the rack
+   simulation.
 2. Every request span's cycle breakdown sums *bit-exactly* (fixed
    category order) to the span's duration in cycles.
 """
@@ -27,9 +27,7 @@ from repro.obs.trace import (
 from repro.obs.trace_report import decomposition_rows, sum_problems
 from repro.sdp.config import SDPConfig
 from repro.sdp.runner import run_interrupts, run_mwait, run_spinning
-from repro.sdp.spinning import build_spinning_cores
 from repro.sdp.system import DataPlaneSystem
-from repro.sim.engine import Simulator
 
 
 def latency_fingerprint(metrics):
@@ -234,29 +232,6 @@ def test_traced_hyperplane_bit_identical_and_exact():
     assert len(tracer.roots()) >= traced.latency.count
     assert sum_problems(tracer) == []
     assert tracer.roots()[0].attributes["mechanism"] == traced.label
-
-
-def _run_spinning_on(sim_backend, tracer=None):
-    config = SDPConfig(num_queues=64, seed=9)
-    # Ambient at *build* time governs probing.
-    with active_tracer(tracer):
-        system = DataPlaneSystem(config, sim=Simulator(backend=sim_backend))
-    build_spinning_cores(system)
-    system.attach_open_loop(load=0.3)
-    warmup = 200.0 * config.workload.mean_service_seconds
-    return system.run(duration=2.0, warmup=warmup, target_completions=300)
-
-
-def test_traced_run_bit_identical_on_calendar_backend():
-    baseline = latency_fingerprint(_run_spinning_on("calendar"))
-    tracer = Tracer(seed=9)
-    traced = _run_spinning_on("calendar", tracer=tracer)
-    tracer.finalize()
-    assert latency_fingerprint(traced) == baseline
-    assert len(tracer.roots()) >= traced.latency.count
-    assert sum_problems(tracer) == []
-    # And the calendar backend agrees with the heap backend, traced.
-    assert latency_fingerprint(_run_spinning_on("heap")) == baseline
 
 
 def test_sampled_tracing_keeps_results_identical_and_subset_stable():

@@ -65,6 +65,27 @@ def test_run_until_with_empty_heap_advances_clock():
     assert sim.now == 3.0
 
 
+def test_run_until_in_the_past_rejected():
+    # A bound behind the clock must not rewind it, queue empty or not.
+    sim = Simulator()
+    hits = []
+    sim.schedule(5.0, hits.append, 5)
+    sim.schedule(10.0, hits.append, 10)
+    sim.run(until=6.0)
+    with pytest.raises(SimulationError, match=r"until=2\.0.*now=6\.0"):
+        sim.run(until=2.0)
+    with pytest.raises(SimulationError, match="until=nan"):
+        sim.run(until=float("nan"))
+    assert sim.now == 6.0
+    assert hits == [5]
+    sim.run(until=6.0)  # a bound equal to now is a no-op, not an error
+    sim.run()
+    assert hits == [5, 10]
+    with pytest.raises(SimulationError, match=r"until=9\.0.*now=10\.0"):
+        sim.run(until=9.0)
+    assert sim.now == 10.0
+
+
 def test_max_events_bounds_dispatch():
     sim = Simulator()
     hits = []
@@ -72,6 +93,12 @@ def test_max_events_bounds_dispatch():
         sim.schedule(float(i + 1), hits.append, i)
     sim.run(max_events=3)
     assert hits == [0, 1, 2]
+    # A bound below one event is a caller bug, not "dispatch one".
+    for bad in (0, -1):
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(max_events=bad)
+    assert hits == [0, 1, 2]
+    assert sim.events_dispatched == 3
 
 
 def test_schedule_at_absolute_time():
@@ -306,47 +333,3 @@ def test_handle_fires_when_not_cancelled():
     sim.run()
     assert hits == ["x"]
     assert handle.cancel() is False  # already fired
-
-
-# -- calendar backend --------------------------------------------------------
-
-
-def test_calendar_backend_matches_heap_trace():
-    import random
-
-    def trace(backend, seed):
-        rng = random.Random(seed)
-        sim = Simulator(backend=backend)
-        hits = []
-
-        def record(i):
-            hits.append((round(sim.now, 12), i))
-            if i < 200:
-                sim.schedule(rng.random() * 1e-3, record, i + 100)
-
-        for i in range(40):
-            sim.schedule(rng.random() * 1e-3, record, i)
-        sim.run()
-        return hits
-
-    for seed in range(5):
-        assert trace("heap", seed) == trace("calendar", seed)
-
-
-def test_calendar_backend_bounds_and_stop():
-    sim = Simulator(backend="calendar")
-    hits = []
-    for i in range(8):
-        sim.schedule(float(i + 1), hits.append, i)
-    sim.run(max_events=2)
-    assert hits == [0, 1] and sim.now == 2.0
-    sim.run(until=4.5)
-    assert hits == [0, 1, 2, 3] and sim.now == 4.5
-    assert sim.pending == 4 and sim.peek() == 5.0
-    sim.run()
-    assert hits == list(range(8))
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        Simulator(backend="fibheap")
