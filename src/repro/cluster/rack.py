@@ -29,7 +29,7 @@ service demand) happens in the same order, from the same stream, with
 the same floating-point expressions as the per-request path, so
 :class:`ClusterMetrics`, per-server stats, and RNG stream positions are
 bit-identical. The pre-fast-path request path is preserved verbatim in
-:mod:`repro.cluster._reference` as the differential-fuzz oracle
+``tests/oracles/rack.py`` as the differential-fuzz oracle
 (``tests/test_cluster_fastpath.py``).
 
 The batched sweep runs only when nothing can observe the difference:

@@ -19,7 +19,7 @@ slot in place (nothing moves when it is already MRU). No
 ``dict.setdefault``, no ``list.remove`` scan, no per-access allocation.
 
 Behaviour is bit-identical to the dict-of-LRU-lists reference model
-(:class:`repro.mem._reference.ReferenceSetAssociativeCache`), which the
+(``ReferenceSetAssociativeCache`` in ``tests/oracles/mem.py``), which the
 differential fuzz suite enforces: same hits/misses/evictions/
 invalidations, same ``last_evicted`` values, same residency.
 """

@@ -24,8 +24,8 @@ interned — the distinct outcomes of a given latency table are few — so
 the common case allocates nothing. The snooper scan is skipped outright
 when no snooper is registered; with snoopers, each one memoizes its
 per-line filter verdict (filters are pure functions of the line
-address). All of it is differentially fuzzed against
-:class:`repro.mem._reference.ReferenceDirectory` for bit-identical
+address). All of it is differentially fuzzed against the frozen
+``ReferenceDirectory`` in ``tests/oracles/mem.py`` for bit-identical
 results, counters, and snoop-callback order.
 """
 

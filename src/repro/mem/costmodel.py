@@ -26,12 +26,12 @@ check is made after every round, never assumed; a state that has not
 repeated runs every round. A cyclic LRU scan, which is what a polling
 loop is, repeats after its first round, so a point costs two rounds
 instead of four. The differential suite pins the result against a
-derivation on :mod:`repro.mem._reference` that runs every round.
+derivation on the frozen reference models (``tests/oracles/mem.py``)
+that runs every round.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import astuple, dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -107,17 +107,11 @@ def derive_cost_model(
 # memo entry also stores the aggregate hierarchy-counter snapshot, so a
 # cache hit folds the same ``mem.*`` increments into an active metrics
 # registry that a fresh measurement would have — instrumented runs see
-# identical metrics either way. Set ``REPRO_CURVE_CACHE=0`` to disable
-# it, together with the per-fleet curve intern in
-# :mod:`repro.sdp.locality` (the regression suites use it to prove
-# cached == derived).
+# identical metrics either way. :func:`clear_curve_cache` forces the
+# next call to derive afresh.
 
 _CURVE_CACHE: Dict[tuple, Tuple[Dict[int, float], Dict[str, float]]] = {}
 _CURVE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def _curve_cache_enabled() -> bool:
-    return os.environ.get("REPRO_CURVE_CACHE", "1") != "0"
 
 
 def _mem_config_key(cfg: MemConfig) -> tuple:
@@ -182,7 +176,6 @@ def empty_poll_cost_curve(
     registry = get_active_registry()
     cfg = mem_config or MemConfig(num_cores=1)
 
-    use_cache = _curve_cache_enabled()
     key = (
         counts,
         _mem_config_key(cfg),
@@ -190,15 +183,14 @@ def empty_poll_cost_curve(
         warmup_rounds,
         measure_rounds,
     )
-    if use_cache:
-        cached = _CURVE_CACHE.get(key)
-        if cached is not None:
-            _CURVE_CACHE_STATS["hits"] += 1
-            curve, stats = cached
-            if registry is not None:
-                replay_hierarchy_stats(registry, stats)
-            return dict(curve)
-        _CURVE_CACHE_STATS["misses"] += 1
+    cached = _CURVE_CACHE.get(key)
+    if cached is not None:
+        _CURVE_CACHE_STATS["hits"] += 1
+        curve, stats = cached
+        if registry is not None:
+            replay_hierarchy_stats(registry, stats)
+        return dict(curve)
+    _CURVE_CACHE_STATS["misses"] += 1
 
     lat = cfg.latencies
     # Expected latency of an LLC doorbell ref when some spill to DRAM.
@@ -246,8 +238,7 @@ def empty_poll_cost_curve(
             aggregate_stats[name] = aggregate_stats.get(name, 0.0) + value
         if registry is not None:
             replay_hierarchy_stats(registry, stats)
-    if use_cache:
-        _CURVE_CACHE[key] = (dict(results), aggregate_stats)
+    _CURVE_CACHE[key] = (dict(results), aggregate_stats)
     return results
 
 

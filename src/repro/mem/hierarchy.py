@@ -19,7 +19,7 @@ common falls back to the general :meth:`read`/:meth:`write` path
 *before* any state is touched, so the observable sequence of results,
 stats, evictions and snoops is bit-identical to issuing the accesses one
 by one (enforced by ``tests/test_mem_fastpath_differential.py`` against
-:class:`repro.mem._reference.ReferenceMemoryHierarchy`).
+the frozen ``ReferenceMemoryHierarchy`` in ``tests/oracles/mem.py``).
 """
 
 from __future__ import annotations

@@ -54,9 +54,9 @@ ENV_OVERRIDE_PREFIX = "REPRO_"
 def env_overrides(environ: Optional[Dict[str, str]] = None) -> Dict[str, str]:
     """The ``REPRO_*`` environment overrides in effect, sorted by name.
 
-    These knobs (``REPRO_PROCESSES``, ``REPRO_CURVE_CACHE``, ...) change
-    how a run executes without appearing in its config, so a manifest
-    that omits them under-specifies the run.
+    These knobs (``REPRO_PROCESSES``, ...) change how a run executes
+    without appearing in its config, so a manifest that omits them
+    under-specifies the run.
     """
     source = os.environ if environ is None else environ
     return {

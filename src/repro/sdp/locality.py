@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.mem.costmodel import (
-    CostModel,
-    _curve_cache_enabled,
-    empty_poll_cost_curve,
-    interpolate_poll_cost,
-)
+from repro.mem.costmodel import CostModel, empty_poll_cost_curve, interpolate_poll_cost
 from repro.mem.hierarchy import MemConfig
 
 # Footprint model: each active queue pins ring descriptors and metadata
@@ -69,8 +64,8 @@ def _polling_mem_config() -> MemConfig:
 # — the only curve inputs besides the memory geometry, which the key is
 # valid for only when that geometry is the module default (idle curves
 # always use the fixed ``MemConfig(num_cores=1)``; custom ``mem_config``
-# models keep their private per-instance cache). ``REPRO_CURVE_CACHE=0``
-# turns the intern off along with the derivation memo.
+# models keep their private per-instance cache). :func:`clear_shared_curves`
+# empties it.
 _SHARED_CURVES: Dict[tuple, Dict[int, float]] = {}
 _DEFAULT_POLLING_CONFIG: Optional[MemConfig] = None
 
@@ -139,7 +134,6 @@ class LocalityModel:
             shareable = (
                 (idle or self.mem_config == _DEFAULT_POLLING_CONFIG)
                 and get_active_registry() is None
-                and _curve_cache_enabled()
             )
             if shareable:
                 curve = _SHARED_CURVES.get(key)

@@ -154,12 +154,6 @@ class DataPlaneSystem:
     system owns a private simulator.
     """
 
-    # Factory hooks so repro.cluster._reference can substitute frozen
-    # pre-fast-path copies of the hot classes without forking __init__.
-    queue_cls = TaskQueue
-    cluster_cls = Cluster
-    locality_cls = LocalityModel
-
     def __init__(self, config: SDPConfig, sim: Optional[Simulator] = None):
         self.config = config
         self.sim = Simulator() if sim is None else sim
@@ -167,7 +161,7 @@ class DataPlaneSystem:
         self.streams = RandomStreams(config.seed)
         self.shape = shape_by_name(config.shape)
         self.cost_model = config.cost_model
-        self.locality = self.locality_cls(config.cost_model)
+        self.locality = LocalityModel(config.cost_model)
 
         self.doorbell_region = DoorbellRegion(
             size_bytes=max(1 << 20, config.num_queues * 64)
@@ -177,7 +171,7 @@ class DataPlaneSystem:
             for qid in range(config.num_queues)
         ]
         self.queues = [
-            self.queue_cls(qid, self.doorbells[qid], config.queue_capacity)
+            TaskQueue(qid, self.doorbells[qid], config.queue_capacity)
             for qid in range(config.num_queues)
         ]
 
@@ -201,7 +195,7 @@ class DataPlaneSystem:
                 uncontended_cycles=cm.lock_uncontended,
                 transfer_cycles=cm.remote_transfer,
             )
-            cluster = self.cluster_cls(self.sim, plan, self.queues, lock)
+            cluster = Cluster(self.sim, plan, self.queues, lock)
             cluster.empty_poll_cost = self.locality.empty_poll_cost(
                 cluster.n, config.num_queues
             )

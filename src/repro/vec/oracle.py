@@ -2,9 +2,9 @@
 
 The event backend (:mod:`repro.sdp` / :mod:`repro.core`) is the ground
 truth; the vec backend and any surrogate fitted on top of it must agree
-with it within the tolerances below. This mirrors the role
-``repro.mem._reference`` plays for the structural fast paths — except
-those are bit-identical, while vec is a *statistical* twin: it draws its
+with it within the tolerances below. This mirrors the role the frozen
+models in ``tests/oracles/mem.py`` play for the structural fast paths —
+except those are bit-identical, while vec is a *statistical* twin: it draws its
 own service/arrival randomness and approximates scan ordering with a
 FCFS multi-server station, so agreement is per-metric relative error,
 not equality.

@@ -1,7 +1,7 @@
 """Differential tests for the rack fast path vs. the frozen reference.
 
 The fast rack (:mod:`repro.cluster.rack`) must be *bit-identical* to the
-pre-fast-path stack preserved in :mod:`repro.cluster._reference`: same
+pre-fast-path stack preserved in :mod:`tests.oracles.rack`: same
 client metrics (exact latency sample lists included), same per-server
 stats, and the same RNG stream positions — draw-for-draw equivalence,
 not just distributional. These tests fuzz that contract across the
@@ -15,15 +15,15 @@ import random
 import pytest
 
 from repro.cluster import tables
-from repro.cluster._reference import (
-    ReferenceClusterServer,
-    ReferenceP2Quantile,
-    ReferenceRack,
-)
 from repro.cluster.config import ClusterConfig
 from repro.cluster.rack import Rack
 from repro.sdp import locality
 from repro.sdp.quantiles import P2Quantile
+from tests.oracles.rack import (
+    ReferenceClusterServer,
+    ReferenceP2Quantile,
+    ReferenceRack,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -278,64 +278,11 @@ def test_unrolled_p2_bitwise_matches_reference(quantile):
         assert list(fast._desired) == list(ref._desired), name
 
 
-# -- satellite: repro-bench --compare ----------------------------------------
-
-
-def _report(mode, **rates):
-    return {
-        "schema": 1,
-        "mode": mode,
-        "scenarios": {
-            sid: {
-                "wall_seconds": 1.0,
-                "events": rate,
-                "events_per_sec": float(rate),
-            }
-            for sid, rate in rates.items()
-        },
-    }
-
-
-def test_diff_reports_speedups_and_regressions():
-    from repro.bench import diff_reports, format_diff
-
-    old = _report("quick", a=100, b=100, c=100, gone=50)
-    new = _report("quick", a=300, b=70, c=90, added=10)
-    rows, regressions = diff_reports(old, new, threshold=0.25)
-    by_id = {row["scenario"]: row for row in rows}
-    assert by_id["a"]["speedup"] == 3.0 and not by_id["a"]["regression"]
-    assert by_id["b"]["regression"] and regressions == ["b"]
-    assert not by_id["c"]["regression"]  # -10% is inside the 25% gate
-    assert by_id["gone"]["note"] == "only in OLD"
-    assert by_id["added"]["note"] == "only in NEW"
-    table = format_diff(rows, 0.25)
-    assert "REGRESSION" in table and "3.00x" in table
-
-
-def test_diff_reports_rejects_mode_mismatch():
-    from repro.bench import diff_reports
-
-    with pytest.raises(ValueError, match="mode"):
-        diff_reports(_report("quick", a=1), _report("full", a=1))
-
-
-def test_compare_cli_exits_nonzero_on_gate_breach(tmp_path, capsys):
-    import json
-
-    from repro.bench.__main__ import main
-
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(_report("quick", a=100, b=100)))
-    new.write_text(json.dumps(_report("quick", a=100, b=40)))
-    assert main(["--compare", str(old), str(new)]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-    new.write_text(json.dumps(_report("quick", a=120, b=110)))
-    assert main(["--compare", str(old), str(new)]) == 0
+# -- the rack fast-path gate --------------------------------------------------
 
 
 def test_cluster_scenarios_registered():
-    from repro.bench import SCENARIOS
+    from benchmarks.perf.gates import GATES
 
-    assert SCENARIOS["cluster_spin16"].default
-    assert SCENARIOS["cluster_grid_row"].default
+    assert GATES["cluster_spin16"].default
+    assert GATES["cluster_grid_row"].default

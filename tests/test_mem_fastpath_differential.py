@@ -3,7 +3,7 @@
 The fast implementations in ``repro.mem`` (flat-array caches,
 table-driven directory, batched access streams) promise bit-identical
 observable behaviour to the originals preserved in
-``repro.mem._reference``. These tests drive both sides with identical
+``tests.oracles.mem``. These tests drive both sides with identical
 seeded random scripts and compare everything observable after every
 operation: results, stats, ``last_evicted``, transaction counters,
 snoop-callback sequences, MESI states, and invariants. The curve-level
@@ -16,12 +16,6 @@ import random
 
 import pytest
 
-from repro.mem._reference import (
-    ReferenceDirectory,
-    ReferenceMemoryHierarchy,
-    ReferenceSetAssociativeCache,
-    build_reference_pair,
-)
 from repro.mem.cache import CacheConfig, SetAssociativeCache
 from repro.mem.coherence import Directory, LatencyConfig, TransactionKind
 from repro.mem.costmodel import clear_curve_cache, empty_poll_cost_curve
@@ -30,6 +24,12 @@ from repro.obs.probes import hierarchy_stats_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import active_registry
 from repro.sdp.locality import _CURVE_POINTS, _polling_mem_config
+from tests.oracles.mem import (
+    ReferenceDirectory,
+    ReferenceMemoryHierarchy,
+    ReferenceSetAssociativeCache,
+    build_reference_pair,
+)
 
 LINE = 64
 
@@ -327,7 +327,7 @@ CURVE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CURVE_CASES))
-def test_cost_curve_matches_reference_derivation(case, monkeypatch):
+def test_cost_curve_matches_reference_derivation(case):
     """Curves and mem.* counters equal a derivation on the reference
     models that runs every warm-up and measure round."""
     make_config, counts, resident, warmup, measure = CURVE_CASES[case]
@@ -346,7 +346,7 @@ def test_cost_curve_matches_reference_derivation(case, monkeypatch):
             measure_rounds=measure,
         )
 
-    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
+    clear_curve_cache()
     registry = MetricsRegistry(enabled=True)
     with active_registry(registry):
         curve = derive()
@@ -356,10 +356,7 @@ def test_cost_curve_matches_reference_derivation(case, monkeypatch):
     assert _mem_counters(registry) == expected_counters
 
     # What the memo stores is what a later hit replays.
-    monkeypatch.delenv("REPRO_CURVE_CACHE")
-    clear_curve_cache()
     try:
-        derive()
         registry = MetricsRegistry(enabled=True)
         with active_registry(registry):
             cached = derive()

@@ -96,11 +96,11 @@ def test_env_overrides_keep_only_repro_keys_sorted():
     environ = {
         "REPRO_PROCESSES": "4",
         "PATH": "/usr/bin",
-        "REPRO_CURVE_CACHE": "0",
+        "REPRO_FUTURE_KNOB": "0",
         "HOME": "/root",
     }
     assert env_overrides(environ) == {
-        "REPRO_CURVE_CACHE": "0",
+        "REPRO_FUTURE_KNOB": "0",
         "REPRO_PROCESSES": "4",
     }
 
@@ -115,9 +115,9 @@ def test_capture_records_env_overrides(monkeypatch):
         config={"fast": True},
         root_seed=0,
         wall_seconds=0.1,
-        environ={"REPRO_CURVE_CACHE": "1", "TERM": "dumb"},
+        environ={"REPRO_FUTURE_KNOB": "1", "TERM": "dumb"},
     )
-    assert pinned.env_overrides == {"REPRO_CURVE_CACHE": "1"}
+    assert pinned.env_overrides == {"REPRO_FUTURE_KNOB": "1"}
 
 
 def test_backend_and_vec_provenance_roundtrip_and_validate():

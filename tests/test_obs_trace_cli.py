@@ -48,8 +48,8 @@ def test_cli_traced_run_checks_sums_and_exports(tmp_path, capsys):
 
 
 def test_trace_overhead_scenario_is_registered():
-    from repro.bench import SCENARIOS
+    from benchmarks.perf.gates import GATES
 
-    scenario = SCENARIOS["sdp_trace_overhead"]
+    scenario = GATES["sdp_trace_overhead"]
     assert "traced" in scenario.description
     assert callable(scenario.fn)

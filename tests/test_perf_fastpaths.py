@@ -7,7 +7,7 @@ speed while promising *identical results*; these tests hold them to it:
   curve and replay the same ``mem.*`` metrics as a fresh derivation;
 - structural spin batching (:mod:`repro.structural.spinning`) must be
   bit-identical to the per-poll-event loop it replaces;
-- the bench harness regression gate must actually gate.
+- the perf gate table (``benchmarks/perf/gates.py``) must actually gate.
 """
 
 import json
@@ -51,15 +51,6 @@ def test_curve_cache_hit_returns_equal_curve():
     assert second is not first  # callers get a private copy
     info = curve_cache_info()
     assert info["hits"] == 1 and info["misses"] == 1
-
-
-def test_curve_cache_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
-    counts = (1, 4)
-    uncached = empty_poll_cost_curve(counts)
-    assert curve_cache_info() == {"entries": 0, "hits": 0, "misses": 0}
-    monkeypatch.delenv("REPRO_CURVE_CACHE")
-    assert empty_poll_cost_curve(counts) == uncached
 
 
 def test_curve_cache_distinguishes_inputs():
@@ -146,9 +137,7 @@ def test_curve_cache_switch_reaches_locality_intern(monkeypatch):
         return len(derivations)
 
     assert build_two_models() == 1  # the second model reuses the interned curve
-    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
-    assert build_two_models() == 2
-    assert not locality._SHARED_CURVES
+    assert locality._SHARED_CURVES
     locality.clear_shared_curves()
 
 
@@ -189,7 +178,7 @@ def _count_rounds(monkeypatch, drift=False):
         return results
 
     monkeypatch.setattr(MemoryHierarchy, "access_stream", counting)
-    monkeypatch.setenv("REPRO_CURVE_CACHE", "0")
+    clear_curve_cache()
     empty_poll_cost_curve((16, 256, 1024), warmup_rounds=2, measure_rounds=3)
     monkeypatch.undo()
     return rounds
@@ -276,75 +265,121 @@ def test_spin_batching_bit_identical_with_contending_consumers():
     assert batched == reference
 
 
-# -- bench harness -----------------------------------------------------------
+# -- perf gate table (benchmarks/perf/gates.py) -----------------------------
 
 
 def test_bench_quick_report_shape(tmp_path):
-    from repro.bench import format_report, run_bench
+    from benchmarks.perf.gates import format_report, run_bench
 
-    report = run_bench(quick=True, scenario_ids=["engine_dispatch", "process_wake"])
+    report = run_bench(quick=True, scenario_ids=["structural_spin16", "structural_hp16"])
     assert report["mode"] == "quick"
-    assert set(report["scenarios"]) == {"engine_dispatch", "process_wake"}
+    assert set(report["scenarios"]) == {"structural_spin16", "structural_hp16"}
     for measured in report["scenarios"].values():
         assert measured["wall_seconds"] > 0
         assert measured["events"] > 0
         assert measured["events_per_sec"] > 0
-    json.dumps(report)  # JSON-serialisable as written to BENCH_engine.json
-    assert "engine_dispatch" in format_report(report)
+    json.dumps(report)  # JSON-serialisable as written by --out
+    assert "structural_hp16" in format_report(report)
 
 
 def test_bench_unknown_scenario_rejected():
-    from repro.bench import run_bench
+    from benchmarks.perf.gates import run_bench
 
     with pytest.raises(ValueError):
         run_bench(quick=True, scenario_ids=["no_such_scenario"])
 
 
-def _report(rates, mode="quick"):
-    return {
-        "mode": mode,
-        "scenarios": {
-            sid: {"events_per_sec": rate, "wall_seconds": 1.0, "events": rate}
-            for sid, rate in rates.items()
-        },
-    }
+def _clean_reports():
+    """A measured report and committed baselines passing every floor."""
+    from benchmarks.perf.gates import GATES
+
+    def report(scenarios):
+        return {"schema": 1, "mode": "quick", "scenarios": scenarios}
+
+    measured, baselines = {}, {}
+    for sid, gate in GATES.items():
+        fields = {name: 2 * minimum for name, minimum in gate.measured.items()}
+        fields.update({name: 1 for name in gate.nonzero}, bit_exact=True)
+        measured[sid] = dict(fields, wall_seconds=1.0, events=1000, events_per_sec=1000.0)
+        if gate.baseline:
+            committed = {name: 2 * minimum for name, minimum in gate.committed.items()}
+            committed.update(bit_exact=True, events_per_sec=1000.0)
+            baselines.setdefault(gate.baseline, report({}))["scenarios"][sid] = committed
+    return report(measured), baselines
 
 
 def test_compare_reports_flags_regressions_only():
-    from repro.bench import compare_reports
+    from benchmarks.perf.gates import check
 
-    baseline = _report({"a": 1000.0, "b": 1000.0, "c": 0.0})
-    current = _report({"a": 800.0, "b": 700.0, "c": 500.0, "d": 1.0})
-    failures = compare_reports(current, baseline, threshold=0.25)
-    # a dropped 20% (within threshold), b dropped 30% (fails), c has no
-    # usable baseline rate, d is new — only b may fail.
-    assert len(failures) == 1 and failures[0].startswith("b:")
-    assert compare_reports(current, baseline, threshold=0.5) == []
+    current, baselines = _clean_reports()
+    assert check(current, baselines) == []
+    scenarios = current["scenarios"]
+    scenarios["structural_spin16"]["events_per_sec"] = 800.0  # -20%: inside the 25% tolerance
+    scenarios["structural_hp16"]["events_per_sec"] = 700.0  # -30%: fails
+    scenarios["vec_fig8_grid"]["events_per_sec"] = 600.0  # -40%: inside vec's 50%
+    failures = check(current, baselines)
+    assert len(failures) == 1 and failures[0].startswith("structural_hp16: measured events_per_sec")
 
 
 def test_compare_reports_refuses_cross_mode():
-    from repro.bench import compare_reports
+    from benchmarks.perf.gates import check
 
-    with pytest.raises(ValueError):
-        compare_reports(_report({"a": 1.0}, mode="quick"), _report({"a": 1.0}, mode="full"))
+    current, baselines = _clean_reports()
+    current["mode"] = "full"
+    with pytest.raises(ValueError, match="mode"):
+        check(current, baselines)
+
+
+@pytest.mark.parametrize(
+    "side, sid, name, value",
+    [
+        ("measured", "cluster_grid_row", "events_per_sec", 100.0),
+        ("committed", "dist_replay_8w", "speedup_vs_lockstep", 2.9),
+        ("measured", "cluster_spin16", "speedup_vs_reference", 1.4),
+        ("committed", "cluster_grid_row", "bit_exact", False),
+        ("measured", "telemetry_overhead", "bit_exact", False),
+        ("measured", "sdp_trace_overhead", "traced_spans", 0),
+        ("measured", "telemetry_overhead", "telemetry_frames", 0),
+    ],
+    ids=["rate", "committed-ratio", "measured-ratio", "committed-bit_exact",
+         "measured-bit_exact", "zero-spans", "zero-frames"],
+)
+def test_gate_table_check_names_scenario_and_field(side, sid, name, value):
+    from benchmarks.perf.gates import GATES, check
+
+    current, baselines = _clean_reports()
+    if side == "measured":
+        current["scenarios"][sid][name] = value
+    else:
+        baselines[GATES[sid].baseline]["scenarios"][sid][name] = value
+    failures = check(current, baselines)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(f"{sid}: {side} {name} ")
 
 
 def test_committed_baselines_match_schema():
-    from repro.bench import BENCH_SCHEMA_VERSION
+    from benchmarks.perf.gates import BENCH_SCHEMA_VERSION, GATES, check, load_baselines
 
-    for path, mode in (
-        ("benchmarks/perf/BENCH_engine.json", "full"),
-        ("benchmarks/perf/BENCH_quick_baseline.json", "quick"),
-    ):
-        with open(path) as handle:
-            report = json.load(handle)
-        assert report["schema"] == BENCH_SCHEMA_VERSION
-        assert report["mode"] == mode
-        assert report["scenarios"]
     with open("benchmarks/perf/BENCH_engine.json") as handle:
         full = json.load(handle)
+    assert full["schema"] == BENCH_SCHEMA_VERSION and full["mode"] == "full"
     # The committed before/after record must show the headline speedup.
     assert full["speedup_vs_before"]["fig8_shapes_1000"] >= 3.0
+    baselines = load_baselines()
+    for name, report in baselines.items():
+        assert report["schema"] == BENCH_SCHEMA_VERSION, name
+        assert report["mode"] == "quick", name
+    # Every gated scenario has a committed rate, and every committed floor
+    # holds for the committed files themselves.
+    committed = {
+        "mode": "quick",
+        "scenarios": {
+            sid: baselines[gate.baseline]["scenarios"][sid]
+            for sid, gate in GATES.items()
+            if gate.baseline
+        },
+    }
+    assert not [line for line in check(committed, baselines) if ": committed " in line]
 
 
 # -- instrumented experiments stay parallel ----------------------------------
