@@ -65,7 +65,7 @@ from repro.cluster.tables import TWO_POW_64, cumulative_weight_table
 from repro.core.dataplane import build_hyperplane
 from repro.obs.runtime import get_active_registry
 from repro.queueing.taskqueue import WorkItem
-from repro.sdp.spinning import FastSpinningCore, build_spinning_cores
+from repro.sdp.spinning import SpinningCore, build_spinning_cores
 from repro.sdp.system import DataPlaneSystem, FastpathContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, derive_seed
@@ -134,19 +134,19 @@ class ClusterServer:
         self.config = config
         self.system = DataPlaneSystem(config, sim=rack.sim)
         # The delivery-tracking context must exist before the cores are
-        # built: single-core spinning servers get the callback fast core,
-        # which reads it on every turn.
+        # built: single-core spinning clusters read it on every turn.
         self.fastpath = self.system.fastpath = FastpathContext()
         if rack.config.notification == "spinning":
             self.accelerator = None
             self.cores = build_spinning_cores(self.system)
         else:
             self.accelerator, self.cores = build_hyperplane(self.system)
-        # Delivery-pull routing: when every core is a callback fast core
-        # (all clusters single-core, spinning), the sweep can hand
-        # prebuilt items straight to the owning core's delivery deque
-        # instead of scheduling one enqueue event per request.
-        if all(type(core) is FastSpinningCore for core in self.cores):
+        # Delivery-pull routing: on a spinning server whose clusters are
+        # single-core, the sweep can hand prebuilt items straight to the
+        # owning core's delivery deque instead of scheduling one enqueue
+        # event per request. A pull skips the arrival pulse, which is
+        # exact only when the pulling core is its cluster's only core.
+        if rack.config.notification == "spinning" and config.cluster_cores == 1:
             self.pull_cores = {
                 qid: core
                 for core in self.cores
@@ -511,7 +511,7 @@ class Rack:
             seeds = [server.config.seed for server in servers]
             slows = [server.slow_factor for server in servers]
             epochs = [server.epoch for server in servers]
-            wake_cores: List[FastSpinningCore] = []
+            wake_cores: List[SpinningCore] = []
             # No core turn or delivery event can interleave with this
             # loop (it is one event callback), so the per-arrival
             # pending_deliveries bumps accumulate in a local list and

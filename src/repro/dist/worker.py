@@ -82,9 +82,10 @@ class WorkerServer:
         self.index = index
         self.config = config
         self.system = DataPlaneSystem(config, sim=host.sim)
-        # Must precede core construction: it selects the callback fast
-        # cores (exactly as the shared-timeline rack does, so schedules
-        # and stream draws stay bit-identical across backends).
+        # Must precede core construction: single-core spinning clusters
+        # read it to collapse turns (exactly as on the shared-timeline
+        # rack, so schedules and stream draws stay bit-identical across
+        # backends).
         self.fastpath = self.system.fastpath = FastpathContext()
         if cluster_config.notification == "spinning":
             self.accelerator = None

@@ -87,6 +87,8 @@ class SDPConfig:
             raise ValueError("need at least one data-plane core")
         if self.cluster_cores is None:
             self.cluster_cores = self.num_cores  # default: full scale-up
+        if self.cluster_cores < 1:
+            raise ValueError("need at least one core per cluster")
         if self.num_cores % self.cluster_cores:
             raise ValueError("cluster_cores must divide num_cores")
         if not 0.0 <= self.imbalance < 1.0:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.sdp.config import INSTRUCTIONS_PER_POLL, USEFUL_TASK_IPC
-from repro.sdp.locality import POST_TASK_COLD_POLLS
-from repro.sdp.spinning import DEQUEUE_PATH_INSTRUCTIONS
-from repro.sdp.system import Cluster, DataPlaneSystem
+from repro.sdp.spinning import SpinningCore
+from repro.sdp.system import DataPlaneSystem
 
 # UMWAIT-class wake-up latency: the monitor fires on the coherence
 # invalidation and the core resumes from a shallow (C0.2-like) state.
@@ -32,91 +30,50 @@ MWAIT_WAKEUP_CYCLES = 300  # ~100 ns at 3 GHz
 MWAIT_ARM_CYCLES = 60
 
 
-class MwaitCore:
-    """A halt-then-scan data-plane core (UMWAIT over the doorbell range)."""
+class MwaitCore(SpinningCore):
+    """A halt-then-scan data-plane core (UMWAIT over the doorbell range).
 
-    def __init__(self, system: DataPlaneSystem, core_id: int, cluster: Cluster):
-        self.system = system
-        self.core_id = core_id
-        self.cluster = cluster
-        self.activity = system.metrics.activities[core_id]
-        rank = cluster.plan.core_ids.index(core_id)
-        self.pos = (rank * cluster.n) // max(1, cluster.num_cores)
-        self._cold_polls = 0
-        self.process = system.sim.spawn(self._run(), name=f"mwait-core-{core_id}")
+    It scans and serves exactly as :class:`SpinningCore` does; only the
+    idle branch differs. Arm the monitor, halt until the cluster's
+    arrival pulse, pay the wake-up, then scan again.
+    """
 
-    def _scan_cycles(self, empty_polls: int) -> float:
-        cluster = self.cluster
-        cost_model = self.system.cost_model
-        base = empty_polls * cluster.empty_poll_cost
-        if self._cold_polls and cluster.empty_poll_cost < cost_model.llc_hit:
-            cold = min(empty_polls, self._cold_polls)
-            base += cold * (cost_model.llc_hit - cluster.empty_poll_cost)
-            self._cold_polls -= cold
-        return base + cluster.ready_poll_cost
+    __slots__ = ()
 
-    def _run(self):
-        sim = self.system.sim
-        clock = self.system.clock
-        cluster = self.cluster
-        cost_model = self.system.cost_model
+    def _idle(self) -> None:
+        """Nothing ready anywhere: arm the monitor, then halt.
+
+        This is the difference from the spinning plane: idle time costs
+        no instructions.
+        """
+        self._sim.schedule(MWAIT_ARM_CYCLES / self._freq, self._halt)
+
+    def _halt(self) -> None:
+        """Armed: halt until the cluster's next arrival pulse."""
+        self.activity.busy_cycles += MWAIT_ARM_CYCLES
+        self._idle_start = self._sim._now
+        self.cluster._arrival_event.add_callback(self._monitor_fired)
+
+    def _monitor_fired(self, _value) -> None:
+        """The monitor fired: account the halt and pay the wake-up."""
         activity = self.activity
-        shared = cluster.num_cores > 1
-        while True:
-            found = cluster.next_ready(self.pos)
-            if found is None:
-                # Arm the monitor and halt — this is the difference from
-                # the spinning plane: idle time costs no instructions.
-                arm = MWAIT_ARM_CYCLES
-                yield clock.cycles_to_seconds(arm)
-                activity.busy_cycles += arm
-                event = cluster.arrival_event
-                halt_start = sim.now
-                yield event
-                activity.halted_cycles += clock.seconds_to_cycles(sim.now - halt_start)
-                activity.wakeups += 1
-                wake = MWAIT_WAKEUP_CYCLES
-                yield clock.cycles_to_seconds(wake)
-                activity.busy_cycles += wake
-                # The monitor said "something changed", not *where*: the
-                # scan still starts from the stale iterator position.
-                continue
-            local_index, empty_polls = found
-            scan = self._scan_cycles(empty_polls)
-            yield clock.cycles_to_seconds(scan)
-            activity.busy_cycles += scan
-            activity.useless_instructions += (empty_polls + 1) * INSTRUCTIONS_PER_POLL
-            queue = cluster.queues[local_index]
-            if queue.is_empty():
-                cluster.refresh_ready(local_index)
-                self.pos = (local_index + 1) % cluster.n
-                continue
-            sync = 0.0
-            if shared:
-                sync = cluster.lock.acquire_cost(self.core_id, cluster.num_cores)
-                sync += cost_model.remote_transfer
-            item = queue.dequeue(sim.now)
-            cluster.refresh_ready(local_index)
-            self.system.notify_dequeue(queue.qid)
-            service_cycles = (
-                clock.seconds_to_cycles(item.service_time) + self.system.task_data_stall
-            )
-            overhead = cost_model.dequeue + cost_model.doorbell_update + sync
-            yield clock.cycles_to_seconds(service_cycles + overhead)
-            self.system.complete(item)
-            activity.busy_cycles += service_cycles + overhead
-            activity.useful_instructions += (
-                service_cycles * USEFUL_TASK_IPC + DEQUEUE_PATH_INSTRUCTIONS
-            )
-            activity.tasks += 1
-            self._cold_polls = POST_TASK_COLD_POLLS
-            self.pos = (local_index + 1) % cluster.n
+        activity.halted_cycles += (self._sim._now - self._idle_start) * self._freq
+        activity.wakeups += 1
+        self._sim.schedule(MWAIT_WAKEUP_CYCLES / self._freq, self._woken)
+
+    def _woken(self) -> None:
+        """Awake: scan again from the stale iterator position.
+
+        The monitor said "something changed", not *where*.
+        """
+        self.activity.busy_cycles += MWAIT_WAKEUP_CYCLES
+        self._turn()
 
 
 def build_mwait_cores(system: DataPlaneSystem) -> List[MwaitCore]:
-    """Spawn one :class:`MwaitCore` per configured data-plane core."""
-    cores = []
-    for cluster in system.clusters:
-        for core_id in cluster.plan.core_ids:
-            cores.append(MwaitCore(system, core_id, cluster))
-    return cores
+    """Start one :class:`MwaitCore` per configured data-plane core."""
+    return [
+        MwaitCore(system, core_id, cluster)
+        for cluster in system.clusters
+        for core_id in cluster.plan.core_ids
+    ]

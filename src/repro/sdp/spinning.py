@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Deque, Optional
+from typing import Deque
 
-from repro.sdp.config import INSTRUCTIONS_PER_POLL, SDPConfig, USEFUL_TASK_IPC
+from repro.sdp.config import INSTRUCTIONS_PER_POLL, USEFUL_TASK_IPC
 from repro.sdp.locality import POST_TASK_COLD_POLLS
 from repro.sdp.system import Cluster, DataPlaneSystem
 
@@ -25,118 +25,28 @@ DEQUEUE_PATH_INSTRUCTIONS = 60
 
 
 class SpinningCore:
-    """One spin-polling data-plane core bound to a cluster."""
+    """One spin-polling data-plane core bound to a cluster.
 
-    def __init__(self, system: DataPlaneSystem, core_id: int, cluster: Cluster):
-        self.system = system
-        self.core_id = core_id
-        self.cluster = cluster
-        self.activity = system.metrics.activities[core_id]
-        rank = cluster.plan.core_ids.index(core_id)
-        # Stagger start positions so cluster cores do not scan in lockstep.
-        self.pos = (rank * cluster.n) // max(1, cluster.num_cores)
-        self._cold_polls = 0
-        self.process = system.sim.spawn(self._run(), name=f"spin-core-{core_id}")
+    The core is a chain of plain callbacks, not a simulator process.
+    Every task is a turn at T0 (find work and cost the scan), T1 (scan
+    done: dequeue and start service) and T2 (service done). An idle core
+    parks on the cluster's arrival pulse; :meth:`_idle` is that branch,
+    and :class:`~repro.sdp.mwait.MwaitCore` overrides only it. The
+    schedule, cost arithmetic and accounting are those of the generator
+    loop this core replaced, kept in ``tests/oracles/cores.py`` and
+    pinned bit for bit by ``tests/test_core_fastpath.py``.
 
-    # -- cost helpers --------------------------------------------------------
-
-    def _scan_cycles(self, empty_polls: int) -> float:
-        """Cycles to skip ``empty_polls`` empty heads and read the ready one.
-
-        The first few polls after a task may find their lines evicted by
-        the task's data (L1 pollution) — they cost at least an LLC hit.
-        """
-        cluster = self.cluster
-        cost_model = self.system.cost_model
-        base = empty_polls * cluster.empty_poll_cost
-        if self._cold_polls and cluster.empty_poll_cost < cost_model.llc_hit:
-            cold = min(empty_polls, self._cold_polls)
-            base += cold * (cost_model.llc_hit - cluster.empty_poll_cost)
-            self._cold_polls -= cold
-        return base + cluster.ready_poll_cost
-
-    # -- the core loop -------------------------------------------------------
-
-    def _run(self):
-        sim = self.system.sim
-        clock = self.system.clock
-        cluster = self.cluster
-        cost_model = self.system.cost_model
-        activity = self.activity
-        shared = cluster.num_cores > 1
-        while True:
-            found = cluster.next_ready(self.pos)
-            if found is None:
-                # Nothing ready anywhere: spin until the next arrival
-                # pulse, fast-forwarding the iterator.
-                event = cluster.arrival_event
-                idle_start = sim.now
-                yield event
-                idle_cycles = clock.seconds_to_cycles(sim.now - idle_start)
-                # With no traffic at all, the polled lines stay resident:
-                # idle spinning runs at the cheap (high-IPC) poll cost.
-                polls = idle_cycles / cluster.idle_poll_cost
-                activity.busy_cycles += idle_cycles
-                activity.useless_instructions += polls * INSTRUCTIONS_PER_POLL
-                self.pos = (self.pos + int(polls)) % cluster.n
-                continue
-            local_index, empty_polls = found
-            scan = self._scan_cycles(empty_polls)
-            yield clock.cycles_to_seconds(scan)
-            activity.busy_cycles += scan
-            activity.useless_instructions += (empty_polls + 1) * INSTRUCTIONS_PER_POLL
-            queue = cluster.queues[local_index]
-            if queue.is_empty():
-                # Another cluster core drained it during our scan.
-                cluster.refresh_ready(local_index)
-                self.pos = (local_index + 1) % cluster.n
-                continue
-            sync = 0.0
-            if shared:
-                # Shared dequeue: spinlock plus queue-head line ping-pong.
-                sync = cluster.lock.acquire_cost(self.core_id, cluster.num_cores)
-                sync += cost_model.remote_transfer
-            item = queue.dequeue(sim.now)
-            cluster.refresh_ready(local_index)
-            self.system.notify_dequeue(queue.qid)
-            service_cycles = (
-                clock.seconds_to_cycles(item.service_time)
-                + self.system.task_data_stall
-            )
-            overhead = cost_model.dequeue + cost_model.doorbell_update + sync
-            yield clock.cycles_to_seconds(service_cycles + overhead)
-            self.system.complete(item)
-            activity.busy_cycles += service_cycles + overhead
-            activity.useful_instructions += (
-                service_cycles * USEFUL_TASK_IPC + DEQUEUE_PATH_INSTRUCTIONS
-            )
-            activity.tasks += 1
-            self._cold_polls = POST_TASK_COLD_POLLS
-            self.pos = (local_index + 1) % cluster.n
-
-
-class FastSpinningCore:
-    """Callback-driven twin of :class:`SpinningCore` for fleet servers.
-
-    Rack-hosted single-core servers spend most simulated events on the
-    spin loop's generator machinery: every task is a resume at T0 (find
-    work), a resume at T1 (scan done, dequeue), and a resume at T2
-    (service done). This core replays the *same* schedule as plain
-    callbacks — every cost expression, accounting line, and iterator
-    movement is copied from :class:`SpinningCore._run` verbatim — and,
-    when provably unobservable, collapses T1 into T0 so a task costs one
-    heap event instead of two.
-
-    The collapse is legal only when nothing can see the intermediate
-    state: no dequeue hooks (obs/trace/closed-loop refill), no fault
-    boundary before T2 (a crash between T0 and T2 must find the item
-    still queued so the reference path redispatches it), T2 within the
-    current run's bound (end-of-run queue state must match), and queue
-    occupancy + in-flight deliveries within capacity (an enqueue racing
-    the early dequeue must see the same full/not-full verdict). The
-    eligibility facts come from the :class:`~repro.sdp.system.FastpathContext`
-    the fleet layer attached; without one, :func:`build_spinning_cores`
-    keeps the generator core.
+    When provably unobservable, a turn collapses T1 into T0 so a task
+    costs one heap event instead of two. That needs a fleet-attached
+    :class:`~repro.sdp.system.FastpathContext` and a single-core
+    cluster, and nothing may see the intermediate state: no dequeue
+    hooks (obs/trace/closed-loop refill), no fault boundary before T2 (a
+    crash between T0 and T2 must find the item still queued so the
+    reference path redispatches it), T2 within the current run's bound
+    (end-of-run queue state must match), and queue occupancy + in-flight
+    deliveries within capacity (an enqueue racing the early dequeue must
+    see the same full/not-full verdict). A standalone system cannot
+    bound its producers' in-flight work, so its turns never collapse.
     """
 
     __slots__ = (
@@ -157,6 +67,7 @@ class FastSpinningCore:
         "_idle_cost",
         "_ready_cost",
         "_llc_hit",
+        "_lock",
         "_fp",
         "_hooks",
         "_deliveries",
@@ -171,6 +82,7 @@ class FastSpinningCore:
         self.cluster = cluster
         self.activity = system.metrics.activities[core_id]
         rank = cluster.plan.core_ids.index(core_id)
+        # Stagger start positions so cluster cores do not scan in lockstep.
         self.pos = (rank * cluster.n) // max(1, cluster.num_cores)
         self._cold_polls = 0
         self._idle_start = 0.0
@@ -191,7 +103,11 @@ class FastSpinningCore:
         self._empty_cost = cluster.empty_poll_cost
         self._idle_cost = cluster.idle_poll_cost
         self._ready_cost = cluster.ready_poll_cost
-        self._fp = system.fastpath
+        shared = cluster.num_cores > 1
+        # A cluster's cores share each queue head behind one lock.
+        self._lock = cluster.lock if shared else None
+        # Collapsed turns and delivery pull: single-core fleet servers only.
+        self._fp = None if shared else system.fastpath
         self._hooks = system.on_dequeue_hooks
         # Delivery-pull state: the rack sweep appends (delivery_time,
         # prebuilt WorkItem) pairs here instead of scheduling one enqueue
@@ -203,16 +119,17 @@ class FastSpinningCore:
         # always holds (scan and service are positive), so schedule_at's
         # past-time guard can be skipped on this call site.
         self._heap = sim._heap
-        # Same bootstrap slot as the generator core's spawned process.
+        # The first turn takes the slot the generator core's spawn took,
+        # so the two schedules match event for event.
         sim.schedule(0.0, self._turn)
 
     def _turn(self, _value=None) -> None:
-        """T0: find the next ready queue, or park on the arrival pulse.
+        """T0: find the next ready queue, or go idle.
 
-        ``next_ready``, ``_scan_cycles``, and the clock conversions are
-        inlined here with identical arithmetic (and identical operation
-        order, so results match the generator core bit for bit); this is
-        the single hottest callback in a rack run.
+        The scan, its cold-poll surcharge and the clock conversions are
+        inlined here with the generator core's arithmetic (and operation
+        order, so results match it bit for bit); this is the single
+        hottest callback in a run.
         """
         cluster = self.cluster
         sim = self._sim
@@ -249,17 +166,9 @@ class FastSpinningCore:
             self._fp.pending_deliveries -= count
         mask = cluster.ready_mask
         if not mask:
-            self._idle_start = sim._now
-            self._parked = True
-            cluster._arrival_event.add_callback(self._wake)
-            if deliveries:
-                # Nothing ready and no producers will ring the doorbell
-                # for pulled traffic: self-schedule the wake-up at the
-                # head delivery instant (same timestamp the reference's
-                # arrival pulse would fire at).
-                sim.schedule_at(deliveries[0][0], self._pull_wake)
+            self._idle()
             return
-        # Cluster.next_ready, inlined.
+        # The next ready queue at or after pos, circularly.
         pos = self.pos
         ahead = mask >> pos
         if ahead:
@@ -269,7 +178,9 @@ class FastSpinningCore:
             behind = mask & ((1 << pos) - 1)
             local_index = (behind & -behind).bit_length() - 1
             empty_polls = self._n - pos + local_index
-        # SpinningCore._scan_cycles, inlined (same accumulation order).
+        # Scan cost: the first polls after a task may find their lines
+        # evicted by the task's data (L1 pollution) and cost at least an
+        # LLC hit.
         empty_cost = self._empty_cost
         base = empty_polls * empty_cost
         cold = self._cold_polls
@@ -280,11 +191,11 @@ class FastSpinningCore:
         scan = base + self._ready_cost
         freq = self._freq
         t1 = sim._now + scan / freq
-        if not self._hooks:
+        fastpath = self._fp
+        if fastpath is not None and not self._hooks:
             queue = self._queues[local_index]
             items = queue._items
             if items:
-                fastpath = self._fp
                 service_cycles = items[0].service_time * freq + self._stall
                 overhead = self._overhead
                 t2 = t1 + (service_cycles + overhead) / freq
@@ -329,6 +240,20 @@ class FastSpinningCore:
                     return
         sim.schedule_at(t1, self._after_scan, local_index, empty_polls, scan)
 
+    def _idle(self) -> None:
+        """Nothing ready anywhere: spin until the next arrival pulse."""
+        sim = self._sim
+        self._idle_start = sim._now
+        self._parked = True
+        self.cluster._arrival_event.add_callback(self._wake)
+        deliveries = self._deliveries
+        if deliveries:
+            # Nothing ready and no producers will ring the doorbell
+            # for pulled traffic: self-schedule the wake-up at the
+            # head delivery instant (same timestamp the reference's
+            # arrival pulse would fire at).
+            sim.schedule_at(deliveries[0][0], self._pull_wake)
+
     def _wake(self, _value) -> None:
         """Arrival pulse: account the idle spin, fast-forward, re-scan."""
         if not self._parked:
@@ -338,6 +263,8 @@ class FastSpinningCore:
             return
         self._parked = False
         idle_cycles = (self._sim._now - self._idle_start) * self._freq
+        # With no traffic at all, the polled lines stay resident: idle
+        # spinning runs at the cheap (high-IPC) poll cost.
         polls = idle_cycles / self._idle_cost
         activity = self.activity
         activity.busy_cycles += idle_cycles
@@ -370,17 +297,25 @@ class FastSpinningCore:
         cluster = self.cluster
         queue = self._queues[local_index]
         if queue.is_empty():
+            # Another cluster core drained it during our scan.
             cluster.refresh_ready(local_index)
             self.pos = (local_index + 1) % self._n
             self._turn()
             return
+        overhead = self._overhead
+        lock = self._lock
+        if lock is not None:
+            # Shared dequeue: spinlock plus queue-head line ping-pong.
+            overhead += (
+                lock.acquire_cost(self.core_id, cluster.num_cores)
+                + self.system.cost_model.remote_transfer
+            )
         sim = self._sim
         item = queue.dequeue(sim.now)
         cluster.refresh_ready(local_index)
         self.system.notify_dequeue(queue.qid)
         freq = self._freq
         service_cycles = item.service_time * freq + self._stall
-        overhead = self._overhead
         sim.schedule(
             (service_cycles + overhead) / freq,
             self._finish,
@@ -407,20 +342,9 @@ class FastSpinningCore:
 
 
 def build_spinning_cores(system: DataPlaneSystem) -> list:
-    """Spawn one spinning core per configured data-plane core.
-
-    Fleet-hosted systems (``system.fastpath`` attached) get the
-    callback-driven :class:`FastSpinningCore` for single-core clusters —
-    bit-identical schedule, a fraction of the events; multi-core
-    clusters (shared-lock sync costs mid-turn) and standalone systems
-    keep the generator-based :class:`SpinningCore`.
-    """
-    cores = []
-    fast = getattr(system, "fastpath", None) is not None
-    for cluster in system.clusters:
-        for core_id in cluster.plan.core_ids:
-            if fast and cluster.num_cores == 1:
-                cores.append(FastSpinningCore(system, core_id, cluster))
-            else:
-                cores.append(SpinningCore(system, core_id, cluster))
-    return cores
+    """Start one :class:`SpinningCore` per configured data-plane core."""
+    return [
+        SpinningCore(system, core_id, cluster)
+        for cluster in system.clusters
+        for core_id in cluster.plan.core_ids
+    ]

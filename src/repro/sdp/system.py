@@ -8,7 +8,7 @@ on top of it, differing only in how cores learn about ready queues.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.mem.address import DoorbellRegion
 from repro.obs.runtime import get_active_registry
@@ -30,11 +30,11 @@ from repro.workloads.service import ServiceTimeModel
 
 
 class FastpathContext:
-    """Shared state the rack layers hand to the callback fast cores.
+    """Shared state the rack layers hand to the spinning cores.
 
     The fleet layers (:class:`repro.cluster.rack.Rack`, the dist worker)
-    attach one of these per server system so
-    :class:`repro.sdp.spinning.FastSpinningCore` can prove its collapsed
+    attach one of these per server system so a single-core
+    :class:`repro.sdp.spinning.SpinningCore` can prove its collapsed
     dequeue->complete turn is unobservable:
 
     * ``pending_deliveries`` — requests already steered across the link
@@ -105,11 +105,6 @@ class Cluster:
     def num_cores(self) -> int:
         return len(self.plan.core_ids)
 
-    @property
-    def arrival_event(self) -> Event:
-        """The event idle cores wait on for the next arrival pulse."""
-        return self._arrival_event
-
     def notify_ready(self, qid: int) -> None:
         """Mark a queue non-empty and pulse waiting cores."""
         self.ready_mask |= 1 << self.local_of[qid]
@@ -127,23 +122,6 @@ class Cluster:
             self.ready_mask &= ~(1 << local_index)
         else:
             self.ready_mask |= 1 << local_index
-
-    def next_ready(self, pos: int) -> Optional[Tuple[int, int]]:
-        """The next ready local queue at or after ``pos``, circularly.
-
-        Returns ``(local_index, empty_polls_skipped)`` or ``None`` when
-        no queue in the cluster is ready.
-        """
-        mask = self.ready_mask
-        if not mask:
-            return None
-        ahead = mask >> pos
-        if ahead:
-            offset = (ahead & -ahead).bit_length() - 1
-            return pos + offset, offset
-        behind = mask & ((1 << pos) - 1)
-        index = (behind & -behind).bit_length() - 1
-        return index, self.n - pos + index
 
 
 class DataPlaneSystem:
@@ -213,7 +191,7 @@ class DataPlaneSystem:
 
         # Set (pre-core-build) by the fleet layers that track in-flight
         # deliveries and fault boundaries; None for standalone systems,
-        # which keeps the generator-based cores.
+        # whose spinning cores therefore never collapse a turn.
         self.fastpath: Optional["FastpathContext"] = None
 
         # Doorbell plumbing: ready-mask upkeep + any extra subscribers

@@ -7,7 +7,9 @@ behaviour:
 - :mod:`tests.oracles.mem` — the dict-of-lists caches and enum-dispatch
   MESI directory behind ``repro.mem``;
 - :mod:`tests.oracles.rack` — the per-request rack hot path behind
-  ``repro.cluster.rack``.
+  ``repro.cluster.rack``;
+- :mod:`tests.oracles.cores` — the generator spinning and MWAIT loops
+  behind the callback cores of ``repro.sdp``.
 
 They live outside ``src/`` because nothing in the package uses them.
 Import them from the checkout root (pytest and

@@ -9,15 +9,18 @@ optimised in place is frozen here too: the loop-form P² estimator, the
 original ``ClusterMetrics`` / ``LatencyRecorder`` recording chain, the
 unslotted ``WorkItem`` / ``TaskQueue``, and the original
 ``DataPlaneSystem`` notify/complete plumbing, all copied verbatim from
-the pre-fast-path tree. The oracle therefore shares *no* hot-path code
-with the fast rack beyond the simulator core and the workload/memory
-models — a micro-optimisation that changes any observable bit shows up
-as a differential failure, not as a change both legs silently agree on.
+the pre-fast-path tree, and spinning servers run the generator cores
+of :mod:`tests.oracles.cores`, not the package's callback core. The
+oracle therefore shares *no* hot-path code with the fast rack beyond
+the simulator core and the workload/memory models — a
+micro-optimisation that changes any observable bit shows up as a
+differential failure, not as a change both legs silently agree on.
 
 It exists for one purpose: to be the differential-fuzz oracle the fast
 rack is checked against (mirroring :mod:`tests.oracles.mem`).
 ``tests/test_cluster_fastpath.py`` runs both racks over the
-{notification} x {balancer} x {fault} x {fleet size} matrix and asserts
+{notification} x {balancer} x {fault} x {fleet size} matrix (plus
+multi-core spinning servers) and asserts
 identical :class:`~repro.cluster.metrics.ClusterMetrics` fingerprints,
 per-server counters, and RNG stream states.
 
@@ -63,7 +66,6 @@ from repro.sdp.config import SDPConfig
 from repro.sdp.locality import _CURVE_POINTS, LocalityModel
 from repro.sdp.metrics import MICROSECOND, CoreActivity, LatencyRecorder, RunMetrics
 from repro.sdp.organizations import plan_clusters
-from repro.sdp.spinning import build_spinning_cores
 from repro.sdp.system import Cluster, DataPlaneSystem, FastpathContext
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -72,6 +74,7 @@ from repro.traffic.arrivals import PoissonArrivals, load_to_rate
 from repro.traffic.generator import ClosedLoopRefill, OpenLoopGenerator
 from repro.traffic.shapes import shape_by_name
 from repro.workloads.service import ServiceTimeModel
+from tests.oracles.cores import build_reference_spinning_cores
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +575,7 @@ class ReferenceClusterServer:
         self.system = ReferenceDataPlaneSystem(config, sim=rack.sim)
         if rack.config.notification == "spinning":
             self.accelerator = None
-            self.cores = build_spinning_cores(self.system)
+            self.cores = build_reference_spinning_cores(self.system)
         else:
             self.accelerator, self.cores = build_hyperplane(self.system)
         self.link = Link(

@@ -5,11 +5,13 @@ pre-fast-path stack preserved in :mod:`tests.oracles.rack`: same
 client metrics (exact latency sample lists included), same per-server
 stats, and the same RNG stream positions — draw-for-draw equivalence,
 not just distributional. These tests fuzz that contract across the
-notification x balancer x fault x fleet-size grid and pin the
+notification x balancer x fault x fleet-size grid, with spinning
+servers also of 2 or 4 cores in shared and unshared clusters, and pin the
 supporting caches (interned weight tables, flow->queue memo, the
 unrolled P² estimator) against their reference counterparts.
 """
 
+import itertools
 import random
 
 import pytest
@@ -73,13 +75,38 @@ def _assert_pair_identical(config_kwargs, load=0.7, duration=0.002, warmup=0.000
 
 BALANCERS = ("rss", "round-robin", "least-loaded", "p2c")
 PROFILES = ("none", "crash", "straggler")
+# (cores_per_server, cluster_cores) of multi-core spinning servers: the
+# shared clusters charge lock sync mid-turn and take no delivery pull.
+MULTICORE_SERVERS = ((2, 1), (2, 2), (4, 2), (4, 4))
 
 
-@pytest.mark.parametrize("notification", ("spinning", "hyperplane"))
-@pytest.mark.parametrize("balancer", BALANCERS)
-@pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("num_servers", (1, 4))
-def test_fast_rack_matches_reference(notification, balancer, profile, num_servers):
+def _rack_grid():
+    for num_servers, profile, balancer in itertools.product(
+        (1, 4), PROFILES, BALANCERS
+    ):
+        prefix = f"{num_servers}-{profile}-{balancer}"
+        for notification in ("spinning", "hyperplane"):
+            yield pytest.param(
+                notification, balancer, profile, num_servers, {},
+                id=f"{prefix}-{notification}",
+            )
+        for cores, cluster_cores in MULTICORE_SERVERS:
+            yield pytest.param(
+                "spinning", balancer, profile, num_servers,
+                dict(cores_per_server=cores, cluster_cores=cluster_cores),
+                id=f"{prefix}-spinning-{cores}x{cluster_cores}",
+            )
+
+
+@pytest.mark.parametrize(
+    "notification, balancer, profile, num_servers, server_shape", _rack_grid()
+)
+def test_fast_rack_matches_reference(
+    notification, balancer, profile, num_servers, server_shape
+):
+    # Offered load scales with the cores per server: shorten the run so
+    # every case serves about as many requests.
+    cores = server_shape.get("cores_per_server", 1)
     _assert_pair_identical(
         dict(
             num_servers=num_servers,
@@ -90,7 +117,10 @@ def test_fast_rack_matches_reference(notification, balancer, profile, num_server
             num_flows=32,
             flow_skew=0.5,
             seed=11 + num_servers,
-        )
+            **server_shape,
+        ),
+        duration=0.002 / cores,
+        warmup=0.0005 / cores,
     )
 
 

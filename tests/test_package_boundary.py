@@ -40,3 +40,38 @@ def test_package_imports_nothing_from_the_checkout():
 )
 def test_oracles_and_superseded_bench_are_not_in_the_package(module):
     assert importlib.util.find_spec(module) is None
+
+
+# -- one scan-and-serve core --------------------------------------------------
+
+
+def test_spinning_has_one_core_class():
+    import repro.sdp.spinning as spinning
+
+    assert not hasattr(spinning, "FastSpinningCore")
+
+
+def test_mwait_core_is_a_spinning_core():
+    from repro.sdp import MwaitCore, SpinningCore
+
+    assert issubclass(MwaitCore, SpinningCore)
+
+
+@pytest.mark.parametrize("runner", ["run_spinning", "run_mwait"])
+def test_closed_loop_core_runs_spawn_no_process(runner):
+    # A closed loop refills from dequeue hooks, so no producer process
+    # runs either: any generator resumption would come from a core.
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.runtime import active_registry
+    from repro.sdp import SDPConfig, runner as runners
+
+    registry = MetricsRegistry(enabled=True)
+    with active_registry(registry):
+        metrics = getattr(runners, runner)(
+            SDPConfig(num_queues=16, num_cores=2, cluster_cores=1),
+            closed_loop=True,
+            target_completions=200,
+            max_seconds=0.01,
+        )
+    assert metrics.completed > 0
+    assert registry.as_dict()["sim.process_wakes"]["value"] == 0

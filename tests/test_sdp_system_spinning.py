@@ -10,6 +10,7 @@ from repro.mem.costmodel import derive_cost_model
 from repro.queueing.locks import SpinLock
 from repro.sdp.organizations import ClusterPlan
 from repro.sim import Simulator
+from tests.oracles.cores import arrival_event, next_ready
 
 
 def small_config(**overrides):
@@ -27,36 +28,40 @@ def make_cluster(num_queues=8):
     return system, system.clusters[0]
 
 
+# The scan and pulse helpers belong to the generator-core oracle; the
+# callback core inlines the same scan, pinned by tests/test_core_fastpath.py.
+
+
 def test_next_ready_none_when_empty():
     _system, cluster = make_cluster()
-    assert cluster.next_ready(0) is None
+    assert next_ready(cluster, 0) is None
 
 
 def test_next_ready_ahead_and_wrap():
     system, cluster = make_cluster()
     cluster.ready_mask = 0b00100100  # queues 2 and 5
-    assert cluster.next_ready(0) == (2, 2)
-    assert cluster.next_ready(3) == (5, 2)
-    assert cluster.next_ready(6) == (2, 4)  # wraps: 6,7 then 0,1 skipped
-    assert cluster.next_ready(2) == (2, 0)
+    assert next_ready(cluster, 0) == (2, 2)
+    assert next_ready(cluster, 3) == (5, 2)
+    assert next_ready(cluster, 6) == (2, 4)  # wraps: 6,7 then 0,1 skipped
+    assert next_ready(cluster, 2) == (2, 0)
 
 
 def test_notify_ready_sets_mask_and_pulses():
     system, cluster = make_cluster()
-    event = cluster.arrival_event
+    event = arrival_event(cluster)
     system.doorbells[3].producer_increment()  # fires hook -> notify_ready
     assert cluster.ready_mask & (1 << 3)
     # No waiters: no pulse, same event object.
-    assert cluster.arrival_event is event
+    assert arrival_event(cluster) is event
 
 
 def test_pulse_wakes_waiters():
     system, cluster = make_cluster()
     woken = []
-    event = cluster.arrival_event
+    event = arrival_event(cluster)
     event.add_callback(lambda v: woken.append(v))
     system.doorbells[1].producer_increment()
-    assert cluster.arrival_event is not event
+    assert arrival_event(cluster) is not event
     system.sim.run()
     assert woken == [1]
 
@@ -202,6 +207,11 @@ def test_config_validation():
         SDPConfig(num_queues=0)
     with pytest.raises(ValueError):
         SDPConfig(num_queues=4, num_cores=4, cluster_cores=3)
+    # Zero would divide by zero; negative values divide num_cores evenly
+    # (4 % -1 == 0) and gave a negative cluster count.
+    for cluster_cores in (0, -1, -2, -4):
+        with pytest.raises(ValueError, match="at least one core per cluster"):
+            SDPConfig(num_queues=4, num_cores=4, cluster_cores=cluster_cores)
     with pytest.raises(ValueError):
         SDPConfig(num_queues=4, imbalance=1.0)
     config = SDPConfig(num_queues=4, num_cores=4, cluster_cores=2)
