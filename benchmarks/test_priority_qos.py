@@ -50,14 +50,12 @@ def run_qos(cluster_cores: int, seed: int = 5, weight: int = 16):
     )
     priority = LatencyRecorder(warmup_time=0.001)
     background = LatencyRecorder(warmup_time=0.001)
-    original = system.complete
 
-    def split_complete(item):
-        original(item)
+    def split_completion(item):
         recorder = priority if item.qid == PRIORITY_QID else background
         recorder.record(system.sim.now, item.latency)
 
-    system.complete = split_complete
+    system.completion_hooks.append(split_completion)
     system.run(duration=0.12, warmup=0.001, target_completions=40000)
     return priority, background
 

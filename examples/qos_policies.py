@@ -20,13 +20,11 @@ def run_policy(policy: str, weights=None):
     accelerator, _cores = build_hyperplane(system, policy=policy, weights=weights)
     system.attach_closed_loop(depth=4)
     completions = {qid: 0 for qid in range(4)}
-    original = system.complete
 
-    def counting_complete(item):
+    def count_completion(item):
         completions[item.qid] += 1
-        original(item)
 
-    system.complete = counting_complete
+    system.completion_hooks.append(count_completion)
     system.run(duration=0.004, warmup=0.0005)
     return completions
 
@@ -52,13 +50,11 @@ def rate_limit_demo():
     system.attach_closed_loop(depth=4)
     completions = {0: 0, 1: 0}
     window = {"limited": 0}
-    original = system.complete
 
-    def counting_complete(item):
+    def count_completion(item):
         completions[item.qid] += 1
-        original(item)
 
-    system.complete = counting_complete
+    system.completion_hooks.append(count_completion)
 
     # Rate-limit queue 1 for the middle millisecond (timer-driven, as the
     # paper suggests for congestion control).

@@ -36,10 +36,19 @@ The batched sweep runs only when nothing can observe the difference:
 duration-bounded runs (no ``target_completions`` / ``max_items`` early
 exit), deterministic steering (rss / round-robin — p2c draws from the
 balancer stream per request and stays per-arrival), no crash faults
-(crash re-steering depends on in-window delivery state), and no active
-tracer (trace spans attach to per-arrival dispatch). Windows split at
-every fault apply/revert boundary so straggler/degrade magnitude changes
-land between sweeps, exactly where the per-request path would see them.
+(crash re-steering depends on in-window delivery state), and no dispatch
+or delivery hook (a sweep bypasses :meth:`Rack.dispatch` and
+:meth:`ClusterServer.enqueue`, where those hooks run; the span probe
+subscribes to both). Windows split at every fault apply/revert boundary
+so straggler/degrade magnitude changes land between sweeps, exactly
+where the per-request path would see them.
+
+Observers subscribe through hook lists, run in registration order:
+``Rack.dispatch_hooks`` get ``(flow, arrival_time, server_id)`` after
+each steering decision, ``Rack.delivery_hooks`` get ``(flow,
+arrival_time, rejected)`` after each link arrival, and each server
+system's ``completion_hooks`` get the finished item (the rack's own
+fleet accounting subscribes there when it builds the server).
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from math import log
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.cluster.balancer import AllServersDownError, LoadBalancer
 from repro.cluster.config import (
@@ -118,13 +127,10 @@ class ClusterServer:
         "dispatched",
         "completed_ok",
         "lost",
-        "enqueue",
         "pull_cores",
         "_weight_table",
         "_flow_queue_map",
         "_queues",
-        "_original_complete",
-        "_inline_complete",
     )
 
     def __init__(self, rack: "Rack", index: int):
@@ -175,18 +181,7 @@ class ClusterServer:
         )
         self._flow_queue_map = self._weight_table.flow_map(config.seed)
         self._queues = self.system.queues
-        self._original_complete = self.system.complete
-        # When the captured method is the plain DataPlaneSystem.complete
-        # (no obs/trace wrapper got there first), _complete inlines its
-        # body instead of paying the extra frame per completion.
-        self._inline_complete = (
-            getattr(self._original_complete, "__func__", None)
-            is DataPlaneSystem.complete
-        )
-        self.system.complete = self._complete
-        # Held as an instance attribute so the trace probe can swap in a
-        # wrapped delivery path without touching the class.
-        self.enqueue = self._enqueue
+        self.system.completion_hooks.append(self._on_complete)
 
     def queue_for_flow(self, flow: int) -> int:
         """The (deterministic, sticky) local queue a flow maps to."""
@@ -197,34 +192,41 @@ class ClusterServer:
             )
         return qid
 
-    def _enqueue(self, flow: int, arrival_time: float, base_service: float) -> None:
-        """Deliver one request (called at the link-arrival instant)."""
+    def enqueue(self, flow: int, arrival_time: float, base_service: float) -> None:
+        """Deliver one request (called at the link-arrival instant), then
+        run the rack's delivery hooks."""
         fastpath = self.fastpath
         if fastpath.pending_deliveries:
             fastpath.pending_deliveries -= 1
+        rack = self.rack
+        rejected = False
         if not self.up:
             # The server died while the request was on the wire: the
             # client detects the failure and retries elsewhere.
-            self.rack.redispatch(flow, arrival_time, base_service)
-            return
-        flow_map = self._flow_queue_map
-        qid = flow_map.get(flow)
-        if qid is None:
-            qid = flow_map[flow] = self._weight_table.compute(
-                self.config.seed, flow
+            rack.redispatch(flow, arrival_time, base_service)
+        else:
+            flow_map = self._flow_queue_map
+            qid = flow_map.get(flow)
+            if qid is None:
+                qid = flow_map[flow] = self._weight_table.compute(
+                    self.config.seed, flow
+                )
+            rack._item_ids += 1
+            item = WorkItem(
+                rack._item_ids,
+                qid,
+                arrival_time,
+                base_service * self.slow_factor,
+                (flow, self.epoch, base_service),
             )
-        rack = self.rack
-        rack._item_ids += 1
-        item = WorkItem(
-            rack._item_ids,
-            qid,
-            arrival_time,
-            base_service * self.slow_factor,
-            (flow, self.epoch, base_service),
-        )
-        if not self._queues[qid].enqueue(item):
-            rack.metrics.rejected += 1
-            rack.balancer.complete(self.index)
+            if not self._queues[qid].enqueue(item):
+                rejected = True
+                rack.metrics.rejected += 1
+                rack.balancer.complete(self.index)
+        hooks = rack.delivery_hooks
+        if hooks:
+            for hook in hooks:
+                hook(flow, arrival_time, rejected)
 
     def _deliver_item(self, item: WorkItem) -> None:
         """Event-path delivery of a sweep-prebuilt item (pull fallback)."""
@@ -240,28 +242,17 @@ class ClusterServer:
             rack.metrics.rejected += 1
             rack.balancer.complete(self.index)
 
-    def _complete(self, item: WorkItem) -> None:
-        # The per-completion chain — DataPlaneSystem.complete,
-        # LoadBalancer.complete, ClusterMetrics.record and its three
-        # P2Quantile feeds — inlined into one frame: it runs once per
-        # client-visible completion and is the rack's second-hottest
-        # path after the core turn.
-        rack = self.rack
-        now = rack.sim._now
-        if self._inline_complete:
-            item.completion_time = now
-            latency = now - item.arrival_time
-            metrics = self.system.metrics
-            metrics.completed += 1
-            recorder = metrics.latency
-            if now >= recorder.warmup_time:
-                recorder._samples.append(latency)
-        else:
-            self._original_complete(item)
-            latency = item.completion_time - item.arrival_time
+    def _on_complete(self, item: WorkItem) -> None:
+        # Fleet accounting — LoadBalancer.complete, ClusterMetrics.record
+        # and its three P2Quantile feeds — inlined into one completion
+        # hook: it runs once per client-visible completion and is the
+        # rack's second-hottest path after the core turn.
         payload = item.payload
         if not (isinstance(payload, tuple) and len(payload) == 3):
             return
+        rack = self.rack
+        now = item.completion_time
+        latency = now - item.arrival_time
         index = self.index
         # LoadBalancer.complete: clamped decrement so stale completions
         # after a crash cannot go negative.
@@ -309,6 +300,8 @@ class Rack:
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
         self.metrics = ClusterMetrics(config.num_servers)
+        self.dispatch_hooks: List[Callable[[int, float, int], None]] = []
+        self.delivery_hooks: List[Callable[[int, float, bool], None]] = []
         self.balancer = LoadBalancer(
             config.balancer,
             config.num_servers,
@@ -352,17 +345,12 @@ class Rack:
         # transfers) and parent the server-side request spans.
         from repro.obs.trace import get_active_tracer
 
-        self._trace_probe = None
         if get_active_tracer() is not None:
             from repro.obs.trace_probes import maybe_trace_rack
 
-            self._trace_probe = maybe_trace_rack(self)
+            maybe_trace_rack(self)
 
     # -- plumbing ------------------------------------------------------------
-
-    def next_item_id(self) -> int:
-        self._item_ids += 1
-        return self._item_ids
 
     def _draw_flow(self) -> int:
         total = self._cumulative_flow_weights[-1]
@@ -657,17 +645,18 @@ class Rack:
 
         The batched sweep pre-draws a whole window, so anything that can
         cut a run short mid-window (completion targets, ``max_items``) or
-        observe per-arrival structure (tracer spans, balancer-stream or
-        load-dependent steering, crash re-steering) forces the
-        per-arrival path. Once per-arrival traffic has started, later
-        runs stay per-arrival — the pending tick event cannot be
-        retracted.
+        observe per-arrival structure (dispatch and delivery hooks,
+        balancer-stream or load-dependent steering, crash re-steering)
+        forces the per-arrival path. Once per-arrival traffic has
+        started, later runs stay per-arrival — the pending tick event
+        cannot be retracted.
         """
         chunked = (
             self._arrivals is not None
             and target_completions is None
             and self._max_items is None
-            and self._trace_probe is None
+            and not self.dispatch_hooks
+            and not self.delivery_hooks
             and not self._tick_started
             and self.balancer.policy in _SWEEPABLE_POLICIES
             and all(event.kind != "crash" for event in self.controller.events)
@@ -711,7 +700,8 @@ class Rack:
         arrival_time: float,
         base_service: Optional[float] = None,
     ) -> int:
-        """Steer one request through the balancer and its server's link."""
+        """Steer one request through the balancer and its server's link,
+        then run the dispatch hooks."""
         server_id = self.balancer.dispatch(flow)
         server = self.servers[server_id]
         if base_service is None:
@@ -722,6 +712,10 @@ class Rack:
         server.fastpath.pending_deliveries += 1
         self.sim.schedule(delay, server.enqueue, flow, arrival_time, base_service)
         server.dispatched += 1
+        hooks = self.dispatch_hooks
+        if hooks:
+            for hook in hooks:
+                hook(flow, arrival_time, server_id)
         return server_id
 
     def redispatch(self, flow: int, arrival_time: float, base_service: float) -> None:

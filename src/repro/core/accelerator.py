@@ -201,14 +201,6 @@ class HyperPlaneAccelerator:
         self._halted[cluster.plan.cluster_id].append((core_id, event))
         return event
 
-    def cancel_halt(self, cluster: Cluster, core_id: int, event: Event) -> None:
-        """Remove a halt registration that did not end up waiting."""
-        halted = self._halted[cluster.plan.cluster_id]
-        try:
-            halted.remove((core_id, event))
-        except ValueError:
-            pass
-
     # -- atomic protocol instructions ----------------------------------------------
 
     def qwait_verify(self, qid: int) -> bool:

@@ -108,8 +108,7 @@ class WorkerServer:
             self.system.shape.weights(config.num_queues)
         )
         self._flow_queue_map = self._weight_table.flow_map(config.seed)
-        self._original_complete = self.system.complete
-        self.system.complete = self._complete
+        self.system.completion_hooks.append(self._on_complete)
 
     def queue_for_flow(self, flow: int) -> int:
         qid = self._flow_queue_map.get(flow)
@@ -147,8 +146,7 @@ class WorkerServer:
             self.rejected += 1
             self.host.report_reject(req_id, self.index)
 
-    def _complete(self, item) -> None:
-        self._original_complete(item)
+    def _on_complete(self, item) -> None:
         payload = item.payload
         if not (isinstance(payload, tuple) and len(payload) == 4):
             return

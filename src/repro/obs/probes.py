@@ -27,6 +27,7 @@ registry is enabled.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict
 
 from repro.obs.registry import MetricsRegistry
@@ -66,7 +67,9 @@ def instrument_system(registry: MetricsRegistry, system, prefix: str = "sdp") ->
     gauges for the system's simulator. The queue-depth timeline is
     sampled *on change* from the hooks — no sampler process is
     scheduled, so instrumentation never perturbs event ordering or run
-    termination.
+    termination. It samples one running total per simulator timeline,
+    so the servers of a rack or a dist worker, which share one, add
+    into the same total.
     """
     instrument_simulator(registry, system.sim, prefix="sim")
 
@@ -119,9 +122,18 @@ def instrument_system(registry: MetricsRegistry, system, prefix: str = "sdp") ->
             fn=(lambda a: lambda: a.tasks)(activity),
         )
 
-    state = _SystemProbeState(registry, system, depth_series, wake_latency, enqueues, dequeues)
+    depth = _TIMELINE_DEPTHS.setdefault(system.sim, {}).setdefault(depth_series, [0])
+    state = _SystemProbeState(
+        registry, system, depth_series, depth, wake_latency, enqueues, dequeues
+    )
     system.doorbell_write_hooks.append(state.on_doorbell_write)
     system.on_dequeue_hooks.append(state.on_dequeue)
+
+
+# simulator -> {depth series: [items queued across the instrumented
+# systems on that timeline]}. Keyed weakly by the simulator the caller
+# created, so the totals live exactly as long as their timeline.
+_TIMELINE_DEPTHS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class _SystemProbeState:
@@ -131,35 +143,40 @@ class _SystemProbeState:
         "registry",
         "system",
         "depth_series",
+        "depth",
         "wake_latency",
         "enqueues",
         "dequeues",
-        "depth",
         "ready_since",
     )
 
-    def __init__(self, registry, system, depth_series, wake_latency, enqueues, dequeues):
+    def __init__(
+        self, registry, system, depth_series, depth, wake_latency, enqueues, dequeues
+    ):
         self.registry = registry
         self.system = system
         self.depth_series = depth_series
+        # One-item list shared with every system on the same timeline.
+        self.depth = depth
         self.wake_latency = wake_latency
         self.enqueues = enqueues
         self.dequeues = dequeues
-        self.depth = 0
         # qid -> time its doorbell first rang while it was idle.
         self.ready_since: Dict[int, float] = {}
 
     def on_doorbell_write(self, doorbell) -> None:
         self.enqueues.inc()
-        self.depth += 1
-        self.depth_series.sample(self.system.sim.now, float(self.depth))
+        depth = self.depth
+        depth[0] += 1
+        self.depth_series.sample(self.system.sim.now, float(depth[0]))
         if doorbell.qid not in self.ready_since:
             self.ready_since[doorbell.qid] = self.system.sim.now
 
     def on_dequeue(self, qid: int) -> None:
         self.dequeues.inc()
-        self.depth -= 1
-        self.depth_series.sample(self.system.sim.now, float(self.depth))
+        depth = self.depth
+        depth[0] -= 1
+        self.depth_series.sample(self.system.sim.now, float(depth[0]))
         ready_at = self.ready_since.pop(qid, None)
         if ready_at is not None:
             self.wake_latency.observe(self.system.sim.now - ready_at)

@@ -45,7 +45,7 @@ def _spans(source: Source) -> Spans:
 
 
 def chrome_instant(name: str, time_us: float, tid: int, args: Optional[Dict] = None) -> Dict:
-    """One instant event dict (shared with the legacy tracer shim)."""
+    """One Chrome trace-event-format instant event dict."""
     entry: Dict[str, Any] = {
         "name": name,
         "ph": "i",
@@ -62,7 +62,7 @@ def chrome_instant(name: str, time_us: float, tid: int, args: Optional[Dict] = N
 def chrome_slice(
     name: str, start_us: float, dur_us: float, tid: int, args: Optional[Dict] = None
 ) -> Dict:
-    """One complete-slice event dict (shared with the legacy tracer shim)."""
+    """One Chrome trace-event-format complete-slice event dict."""
     entry: Dict[str, Any] = {
         "name": name,
         "ph": "X",

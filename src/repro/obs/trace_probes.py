@@ -17,14 +17,15 @@ probes in :mod:`repro.obs.probes` self-instrument under
 ``active_registry``.
 
 The cardinal rule (the bit-identical acceptance criterion): **probes
-observe, they never schedule.** Everything here runs from hooks that
-already exist — doorbell write hooks, dequeue hooks, and a wrapper
-around ``complete`` — and all span construction happens at completion
-time from fields the models filled in anyway (``arrival_time``,
+observe, they never schedule.** Every probe is a subscriber on a
+component's hook lists — doorbell write, dequeue and completion hooks
+on a system or structural machine, dispatch and delivery hooks on a
+rack — and all span construction happens at completion time from
+fields the models filled in anyway (``arrival_time``,
 ``dequeue_time``, ``completion_time``, ``service_time``). No event is
 added, removed, or reordered, so a traced run's simulated results are
 bit-identical to an untraced run, including across spin fast-forward
-batching and both scheduler backends.
+batching.
 
 Per-request cycle attribution (all on the root ``request`` span):
 
@@ -78,7 +79,6 @@ class _SystemTraceState:
         "request_spans",
         "parent_resolver",
         "default_label",
-        "_original_complete",
     )
 
     def __init__(self, tracer: Tracer, system):
@@ -94,8 +94,6 @@ class _SystemTraceState:
         # Installed by the rack probe: item -> parent span (or None to
         # skip — the enclosing rpc was not sampled).
         self.parent_resolver: Optional[Callable[[Any], Optional[Span]]] = None
-        self._original_complete = system.complete
-        system.complete = self.on_complete
 
     # -- hooks ---------------------------------------------------------------
 
@@ -114,7 +112,6 @@ class _SystemTraceState:
         return float(self.system.task_data_stall)
 
     def on_complete(self, item) -> None:
-        self._original_complete(item)
         # Keep the per-queue wake pairing exact whether or not this
         # item is sampled.
         wakes = self.pending_wakes.get(item.qid)
@@ -176,15 +173,15 @@ class _SystemTraceState:
 def trace_system(tracer: Tracer, system) -> _SystemTraceState:
     """Trace one :class:`~repro.sdp.system.DataPlaneSystem`.
 
-    Installs a doorbell-write hook and a dequeue hook (both
-    observation-only) and wraps ``system.complete``; per completed item
-    a ``request`` root span with ``queue.wait`` / ``service`` children
-    and a closed cycle breakdown is recorded, subject to the tracer's
-    head sampling by item id.
+    Subscribes to the doorbell-write, dequeue and completion hooks;
+    per completed item a ``request`` root span with ``queue.wait`` /
+    ``service`` children and a closed cycle breakdown is recorded,
+    subject to the tracer's head sampling by item id.
     """
     state = _SystemTraceState(tracer, system)
     system.doorbell_write_hooks.append(state.on_doorbell_write)
     system.on_dequeue_hooks.append(state.on_dequeue)
+    system.completion_hooks.append(state.on_complete)
     tracer.add_finalizer(state.finalize)
     return state
 
@@ -192,33 +189,27 @@ def trace_system(tracer: Tracer, system) -> _SystemTraceState:
 class _StructuralTraceState(_SystemTraceState):
     """Trace state for the execution-driven structural machine.
 
-    Differences from the fast model: there is no dequeue hook, so the
-    wrapper around :meth:`StructuralMachine.dequeue_memory_cycles`
-    (called exactly once per dequeue, at the dequeue instant) doubles
-    as one; and coherence cycles are the *measured* memory latency of
-    that dequeue rather than a derived constant.
+    Difference from the fast model: the machine's dequeue hook passes
+    the dequeue's measured memory cycles (the hook runs once per
+    dequeue, at the dequeue instant), so coherence cycles are that
+    *measured* latency rather than a derived constant.
     """
 
-    __slots__ = ("pending_coherence", "_coherence_now", "_original_dequeue_cycles")
+    __slots__ = ("pending_coherence", "_coherence_now")
 
     def __init__(self, tracer: Tracer, machine):
         super().__init__(tracer, machine)
         self.pending_coherence: Dict[int, Deque[float]] = {}
         self._coherence_now = 0.0
-        self._original_dequeue_cycles = machine.dequeue_memory_cycles
-        machine.dequeue_memory_cycles = self.on_dequeue_memory_cycles
 
-    def on_dequeue_memory_cycles(self, core: int, qid: int) -> int:
-        cycles = self._original_dequeue_cycles(core, qid)
+    def on_dequeue_memory(self, qid: int, cycles: int) -> None:
         self.on_dequeue(qid)
         self.pending_coherence.setdefault(qid, deque()).append(float(cycles))
-        return cycles
 
     def coherence_cycles(self, item) -> float:
         return self._coherence_now
 
     def on_complete(self, item) -> None:
-        self._original_complete(item)
         # Pop both per-queue stashes unconditionally (FIFO pairing must
         # stay exact whether or not this item is sampled).
         wakes = self.pending_wakes.get(item.qid)
@@ -237,6 +228,8 @@ def trace_structural_machine(tracer: Tracer, machine) -> _StructuralTraceState:
     state = _StructuralTraceState(tracer, machine)
     for doorbell in machine.doorbells:
         doorbell.add_write_hook(state.on_doorbell_write)
+    machine.dequeue_hooks.append(state.on_dequeue_memory)
+    machine.completion_hooks.append(state.on_complete)
     tracer.add_finalizer(state.finalize)
     return state
 
@@ -257,70 +250,55 @@ class _RackTraceState:
         self.open: Dict[Tuple[int, float], Dict[str, Optional[Span]]] = {}
         self.rpc_spans: list = []
 
-    def wrap_dispatch(self, original):
-        def dispatch(flow, arrival_time, base_service=None):
-            tracer = self.tracer
-            key = (flow, arrival_time)
-            entry = self.open.get(key)
-            if entry is None:
-                if len(self.open) < self.MAX_OPEN and tracer.sampled(
-                    f"rpc:{flow}:{arrival_time!r}"
-                ):
-                    root = tracer.begin("rpc", arrival_time, flow=flow)
-                    entry = {"root": root, "link": None}
-                    self.open[key] = entry
-            else:
-                entry["root"].add_event(self.rack.sim.now, "redispatch")
-            server_id = original(flow, arrival_time, base_service)
-            if entry is not None:
-                entry["root"].set_attribute("server", server_id)
-                entry["link"] = tracer.begin(
-                    "dispatch.link",
-                    self.rack.sim.now,
-                    parent=entry["root"],
-                    server=server_id,
-                )
-            return server_id
-
-        return dispatch
-
-    def wrap_enqueue(self, server, original):
-        def enqueue(flow, arrival_time, base_service):
-            entry = self.open.get((flow, arrival_time))
-            if entry is not None and entry["link"] is not None:
-                self.tracer.end(entry["link"], self.rack.sim.now)
-                entry["link"] = None
-            rejected_before = self.rack.metrics.rejected
-            original(flow, arrival_time, base_service)
-            if (
-                entry is not None
-                and self.rack.metrics.rejected > rejected_before
+    def on_dispatch(self, flow: int, arrival_time: float, server_id: int) -> None:
+        tracer = self.tracer
+        key = (flow, arrival_time)
+        now = self.rack.sim.now
+        entry = self.open.get(key)
+        if entry is None:
+            if len(self.open) >= self.MAX_OPEN or not tracer.sampled(
+                f"rpc:{flow}:{arrival_time!r}"
             ):
-                # Dropped at a full ring: close the rpc here — no
-                # completion will ever arrive for it.
-                root = self.open.pop((flow, arrival_time))["root"]
-                root.set_attribute("rejected", True)
-                self.tracer.end(root, self.rack.sim.now)
-
-        return enqueue
-
-    def wrap_complete(self, server, original):
-        def complete(item):
-            original(item)
-            payload = item.payload
-            if not (isinstance(payload, tuple) and len(payload) == 3):
                 return
-            entry = self.open.pop((payload[0], item.arrival_time), None)
-            if entry is None:
-                return
-            if entry["link"] is not None:
-                self.tracer.end(entry["link"], self.rack.sim.now)
-            root = entry["root"]
-            self.tracer.end(root, self.rack.sim.now)
-            if self.tracer.spans and self.tracer.spans[-1] is root:
-                self.rpc_spans.append(root)
+            root = tracer.begin("rpc", arrival_time, flow=flow)
+            entry = {"root": root, "link": None}
+            self.open[key] = entry
+        else:
+            entry["root"].add_event(now, "redispatch")
+        entry["root"].set_attribute("server", server_id)
+        entry["link"] = tracer.begin(
+            "dispatch.link", now, parent=entry["root"], server=server_id
+        )
 
-        return complete
+    def on_delivery(self, flow: int, arrival_time: float, rejected: bool) -> None:
+        entry = self.open.get((flow, arrival_time))
+        if entry is None:
+            return
+        now = self.rack.sim.now
+        if entry["link"] is not None:
+            self.tracer.end(entry["link"], now)
+            entry["link"] = None
+        if rejected:
+            # Dropped at a full ring: close the rpc here — no completion
+            # will ever arrive for it.
+            root = self.open.pop((flow, arrival_time))["root"]
+            root.set_attribute("rejected", True)
+            self.tracer.end(root, now)
+
+    def on_complete(self, item) -> None:
+        payload = item.payload
+        if not (isinstance(payload, tuple) and len(payload) == 3):
+            return
+        entry = self.open.pop((payload[0], item.arrival_time), None)
+        if entry is None:
+            return
+        now = self.rack.sim.now
+        if entry["link"] is not None:
+            self.tracer.end(entry["link"], now)
+        root = entry["root"]
+        self.tracer.end(root, now)
+        if self.tracer.spans and self.tracer.spans[-1] is root:
+            self.rpc_spans.append(root)
 
     def parent_for(self, item) -> Optional[Span]:
         payload = item.payload
@@ -347,10 +325,12 @@ def trace_rack(tracer: Tracer, rack) -> _RackTraceState:
     queue, notification, and service.
     """
     state = _RackTraceState(tracer, rack)
-    rack.dispatch = state.wrap_dispatch(rack.dispatch)
+    rack.dispatch_hooks.append(state.on_dispatch)
+    rack.delivery_hooks.append(state.on_delivery)
     for server in rack.servers:
-        server.enqueue = state.wrap_enqueue(server, server.enqueue)
-        server.system.complete = state.wrap_complete(server, server.system.complete)
+        # Registered after the server's own span probe (subscribed at
+        # build time), whose request span must find its rpc still open.
+        server.system.completion_hooks.append(state.on_complete)
         probe = getattr(server.system, "_trace_probe", None)
         if probe is not None:
             probe.parent_resolver = state.parent_for

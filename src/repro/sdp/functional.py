@@ -186,11 +186,11 @@ class FunctionalAdapter:
         kernels = _WorkloadKernels(system.streams.stream("functional-payloads"))
         self._build, self._process = factory(kernels)
         self._sample_rng = system.streams.stream("functional-sampling")
-        # Wrap payload generation into the service sampler path via the
-        # doorbell write hook (fires once per enqueue, before dispatch).
+        # Payloads are built from the doorbell write hook (fires once
+        # per enqueue, before dispatch) and verified from the completion
+        # hook.
         system.doorbell_write_hooks.append(self._on_enqueue)
-        self._original_complete = system.complete
-        system.complete = self._on_complete
+        system.completion_hooks.append(self._on_complete)
 
     def _on_enqueue(self, doorbell) -> None:
         queue = self.system.queues[doorbell.qid]
@@ -199,7 +199,6 @@ class FunctionalAdapter:
             self.stats.produced += 1
 
     def _on_complete(self, item: WorkItem) -> None:
-        self._original_complete(item)
         self.stats.processed += 1
         if item.payload is None:
             return

@@ -61,7 +61,9 @@ class P2Quantile:
     def _update(self, value: float) -> None:
         # This runs three times per recorded rack completion (p50, p99,
         # p99.9): the marker bookkeeping is unrolled — same arithmetic in
-        # the same order as the loop form, without loop machinery.
+        # the same order as the loop form, without loop machinery. The
+        # loop form, with its ``_parabolic`` / ``_linear`` helpers, is
+        # ReferenceP2Quantile in ``tests/oracles/rack.py``.
         heights = self._heights
         positions = self._positions
         # Find the cell and clamp extremes.
@@ -213,23 +215,6 @@ class P2Quantile:
                 else:
                     heights[3] = qi + (-1 * (qm - qi)) / (nm - ni)
                 positions[3] = ni - 1
-
-    def _parabolic(self, i: int, direction: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + direction / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + direction)
-            * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - direction)
-            * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, direction: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + direction * (q[i + direction] - q[i]) / (
-            n[i + direction] - n[i]
-        )
 
     @property
     def value(self) -> float:

@@ -201,6 +201,10 @@ class DataPlaneSystem:
             doorbell.add_write_hook(self._on_doorbell_write)
 
         self.on_dequeue_hooks: List[Callable[[int], None]] = []
+        # Completion subscribers, run in registration order after the
+        # item is recorded: span probes, fleet accounting, the tenant
+        # and transmit sides, functional payloads.
+        self.completion_hooks: List[Callable[[WorkItem], None]] = []
         self.metrics = RunMetrics(
             latency=LatencyRecorder(),
             activities=[CoreActivity() for _ in range(config.num_cores)],
@@ -245,13 +249,23 @@ class DataPlaneSystem:
                 hook(qid)
 
     def complete(self, item: WorkItem) -> None:
-        """Record a finished work item."""
-        now = self.sim.now
+        """Record a finished work item, then run the completion hooks."""
+        now = self.sim._now
         item.completion_time = now
         metrics = self.metrics
         metrics.completed += 1
-        # item.latency == now - arrival_time, with completion_time == now.
-        metrics.latency.record(now, now - item.arrival_time)
+        # LatencyRecorder.record inlined: it runs once per completion on
+        # every path, standalone and rack alike.
+        latency = now - item.arrival_time
+        if latency < 0:
+            raise ValueError("negative latency")
+        recorder = metrics.latency
+        if now >= recorder.warmup_time:
+            recorder._samples.append(latency)
+        hooks = self.completion_hooks
+        if hooks:
+            for hook in hooks:
+                hook(item)
 
     # -- traffic ------------------------------------------------------------
 

@@ -99,11 +99,9 @@ class TenantSide:
             qid: self.tenants[qid % num_tenants]
             for qid in range(system.config.num_queues)
         }
-        self._original_complete = system.complete
-        system.complete = self._complete
+        system.completion_hooks.append(self._on_complete)
 
-    def _complete(self, item: WorkItem) -> None:
-        self._original_complete(item)
+    def _on_complete(self, item: WorkItem) -> None:
         tenant = self._tenant_of_qid[item.qid]
         if self.in_place:
             tenant.enqueue(item)

@@ -103,11 +103,9 @@ class TxSide:
             qid: self.devices[min(qid // queues_per_device, num_devices - 1)]
             for qid in range(system.config.num_queues)
         }
-        self._original_complete = system.complete
-        system.complete = self._complete
+        system.completion_hooks.append(self._on_complete)
 
-    def _complete(self, item: WorkItem) -> None:
-        self._original_complete(item)
+    def _on_complete(self, item: WorkItem) -> None:
         self._device_of_qid[item.qid].post(item)
 
     @property

@@ -82,6 +82,9 @@ class Simulator:
         "_until",
         "events_dispatched",
         "process_wakes",
+        # Observers key per-timeline state on the simulator
+        # (repro.obs.probes' queue-depth totals).
+        "__weakref__",
     )
 
     def __init__(self):

@@ -10,7 +10,7 @@ state, not charged constants.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.mem.address import AddressAllocator, CACHE_LINE_BYTES, DoorbellRegion
 from repro.mem.hierarchy import MemConfig, MemoryHierarchy
@@ -100,18 +100,21 @@ class StructuralMachine:
         self._arrival_event = Event("structural.arrival")
         self._next_item_id = 0
         self.producer_processes = []
+        # Observation subscribers, run in registration order: dequeue
+        # hooks get (qid, measured dequeue memory cycles) at the dequeue
+        # instant, completion hooks the recorded item.
+        self.dequeue_hooks: List[Callable[[int, int], None]] = []
+        self.completion_hooks: List[Callable[[WorkItem], None]] = []
 
         # Tracing: self-trace iff an enabled tracer is ambient; the
-        # probe is observation-only (wraps complete / dequeue memory
-        # accounting, never schedules), so traced runs stay
-        # bit-identical.
+        # probe only subscribes to hooks (never schedules), so traced
+        # runs stay bit-identical.
         from repro.obs.trace import get_active_tracer
 
-        self._trace_probe = None
         if get_active_tracer() is not None:
             from repro.obs.trace_probes import maybe_trace_structural_machine
 
-            self._trace_probe = maybe_trace_structural_machine(self)
+            maybe_trace_structural_machine(self)
 
     # -- core id helpers -----------------------------------------------------------
 
@@ -216,18 +219,23 @@ class StructuralMachine:
 
     def dequeue_memory_cycles(self, core: int, qid: int) -> int:
         """Cycles for the dequeue's memory traffic: doorbell decrement
-        (write), ring head update, and the item slot read."""
+        (write), ring head update, and the item slot read. Called once
+        per dequeue; runs the dequeue hooks."""
         doorbell_addr = self.doorbells[qid].address
         total = self.hierarchy.write(core, doorbell_addr).latency
         total += self.hierarchy.write(core, self.ring_meta_addr[qid]).latency
         slot = self.slot_base_addr[qid]
         total += self.hierarchy.read(core, slot).latency
+        for hook in self.dequeue_hooks:
+            hook(qid, total)
         return total
 
     def complete(self, item: WorkItem) -> None:
         item.completion_time = self.sim.now
         self.metrics.completed += 1
         self.metrics.latency.record(self.sim.now, item.latency)
+        for hook in self.completion_hooks:
+            hook(item)
 
     def run(self, duration: float, target_completions: Optional[int] = None) -> RunMetrics:
         """Simulate; see :meth:`repro.sdp.system.DataPlaneSystem.run`."""

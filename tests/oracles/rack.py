@@ -15,6 +15,8 @@ oracle therefore shares *no* hot-path code with the fast rack beyond
 the simulator core and the workload/memory models — a
 micro-optimisation that changes any observable bit shows up as a
 differential failure, not as a change both legs silently agree on.
+The oracle runs unobserved: it attaches no metrics or span probes,
+whatever registry or tracer is ambient.
 
 It exists for one purpose: to be the differential-fuzz oracle the fast
 rack is checked against (mirroring :mod:`tests.oracles.mem`).
@@ -55,8 +57,6 @@ from repro.cluster.link import Link
 from repro.cluster.rack import TWO_POW_64, flow_weights
 from repro.core.dataplane import build_hyperplane
 from repro.mem.address import DoorbellRegion
-from repro.obs.runtime import get_active_registry
-from repro.obs.trace import get_active_tracer
 from repro.queueing.doorbell import Doorbell
 from repro.queueing.locks import SpinLock
 from repro.queueing.taskqueue import QueueFullError, WorkItem
@@ -452,7 +452,8 @@ class ReferenceDataPlaneSystem(DataPlaneSystem):
 
     def __init__(self, config: SDPConfig, sim: Optional[Simulator] = None):
         # A frozen copy of DataPlaneSystem.__init__ that builds the
-        # reference queue, cluster and locality classes.
+        # reference queue, cluster and locality classes (and attaches
+        # no obs probes).
         self.config = config
         self.sim = Simulator() if sim is None else sim
         self.clock = config.clock
@@ -527,25 +528,6 @@ class ReferenceDataPlaneSystem(DataPlaneSystem):
         )
         self.generators: List[OpenLoopGenerator] = []
         self.refill: Optional[ClosedLoopRefill] = None
-
-        # Observability: self-instrument iff an enabled registry is
-        # ambient (repro.obs.runtime). With none active — the default —
-        # this is a single None check and no hook is installed.
-        self._obs = get_active_registry()
-        self._obs_events_reported = 0
-        if self._obs is not None:
-            from repro.obs.probes import instrument_system
-
-            instrument_system(self._obs, self)
-
-        # Tracing: self-trace iff an enabled tracer is ambient
-        # (repro.obs.trace). Same contract as metrics — with none
-        # active this is one None check and no hook is installed.
-        self._trace_probe = None
-        if get_active_tracer() is not None:
-            from repro.obs.trace_probes import maybe_trace_system
-
-            self._trace_probe = maybe_trace_system(self)
 
     def _on_doorbell_write(self, doorbell: Doorbell) -> None:
         self.cluster_of_queue[doorbell.qid].notify_ready(doorbell.qid)
@@ -668,21 +650,6 @@ class ReferenceRack:
         self._max_items: Optional[int] = None
         self._item_ids = 0
         self.generated = 0
-
-        self._obs = get_active_registry()
-        self._obs_events_reported = 0
-        if self._obs is not None:
-            from repro.obs.probes import instrument_rack
-
-            instrument_rack(self._obs, self)
-
-        from repro.obs.trace import get_active_tracer
-
-        self._trace_probe = None
-        if get_active_tracer() is not None:
-            from repro.obs.trace_probes import maybe_trace_rack
-
-            self._trace_probe = maybe_trace_rack(self)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -827,12 +794,6 @@ class ReferenceRack:
         self.metrics.measure_end = self.sim.now
         for server in self.servers:
             server.system.metrics.measure_end = self.sim.now
-        if self._obs is not None:
-            delta = self.sim.events_dispatched - self._obs_events_reported
-            self._obs_events_reported = self.sim.events_dispatched
-            self._obs.counter(
-                "sim.events_total", help="events retired across all runs"
-            ).inc(delta)
         return self.metrics
 
     def check_invariants(self) -> None:

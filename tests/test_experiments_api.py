@@ -239,6 +239,7 @@ def test_fig8_hot_path_untouched_with_disabled_registry():
         system = DataPlaneSystem(config)
         assert system._obs is None
         assert system.doorbell_write_hooks == []
+        assert system.completion_hooks == []
         guarded = run_spinning(
             config, closed_loop=True, target_completions=400, max_seconds=0.5
         )

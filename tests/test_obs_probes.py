@@ -64,6 +64,36 @@ def test_queue_depth_timeline_is_time_ordered():
     assert all(depth >= 0 for _, depth in samples)
 
 
+def _assert_unit_steps(record):
+    # At stride 1 every doorbell write and dequeue is sampled, so one
+    # running total moves by exactly one item between samples.
+    assert record["stride"] == 1
+    samples = record["samples"]
+    steps = [b - a for (_, a), (_, b) in zip(samples, samples[1:])]
+    assert steps and all(abs(step) == 1 for step in steps)
+
+
+def test_queue_depth_steps_by_one_on_a_system():
+    _assert_unit_steps(instrumented_run().as_dict()["sdp.queue_depth"])
+
+
+def test_queue_depth_is_one_total_across_a_rack():
+    # The servers share one timeline, so they add into one total rather
+    # than each sampling its own depth into the shared series.
+    registry = MetricsRegistry(enabled=True)
+    with active_registry(registry):
+        rack = run_cluster(
+            ClusterConfig(num_servers=2, notification="spinning", seed=1),
+            load=0.6,
+            duration=0.0004,
+            warmup=0.0,
+        )
+    record = registry.as_dict()["sdp.queue_depth"]
+    _assert_unit_steps(record)
+    queued = sum(len(q) for s in rack.servers for q in s.system.queues)
+    assert record["samples"][-1][1] == queued
+
+
 # -- mem probes --------------------------------------------------------------
 
 
@@ -141,3 +171,4 @@ def test_disabled_registry_installs_no_hooks():
     assert system._obs is None
     # Only the ready-mask upkeep hook, no probe hooks.
     assert system.doorbell_write_hooks == []
+    assert system.completion_hooks == []

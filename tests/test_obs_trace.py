@@ -190,6 +190,7 @@ def test_untraced_system_installs_no_probes():
     assert system._trace_probe is None
     assert system.doorbell_write_hooks == []
     assert system.on_dequeue_hooks == []
+    assert system.completion_hooks == []
 
 
 # -- traced == untraced, fast model -------------------------------------------
@@ -232,6 +233,53 @@ def test_traced_hyperplane_bit_identical_and_exact():
     assert len(tracer.roots()) >= traced.latency.count
     assert sum_problems(tracer) == []
     assert tracer.roots()[0].attributes["mechanism"] == traced.label
+
+
+def test_hand_composed_system_feeds_every_completion_subscriber():
+    # docs/api.md "Composing a system by hand", as written: the system is
+    # built inside the tracer scope (probes attach only at build time),
+    # so its span probe subscribes first, then the tenant and TX sides.
+    from repro.core.dataplane import build_hyperplane
+    from repro.sdp import attach_tenant_side, attach_tx_side
+    from repro.traffic.bursty import attach_bursty_traffic
+
+    with active_tracer(Tracer(seed=0, sample_rate=0.1)) as tracer:
+        system = DataPlaneSystem(SDPConfig(num_queues=64, seed=0))
+        tenants = attach_tenant_side(system, 4)
+        tx = attach_tx_side(system, num_devices=2)
+        accelerator, cores = build_hyperplane(system)
+        attach_bursty_traffic(system, load=0.6, burstiness=8.0)
+        subscribers = [
+            system._trace_probe.on_complete,
+            tenants._on_complete,
+            tx._on_complete,
+        ]
+        assert system.completion_hooks == subscribers
+        seen = []
+
+        def recording(index, hook):
+            def record(item):
+                seen.append((index, item.item_id))
+                hook(item)
+
+            return record
+
+        system.completion_hooks[:] = [
+            recording(index, hook) for index, hook in enumerate(subscribers)
+        ]
+        system.run(duration=0.01, warmup=0.002)
+    tracer.finalize()
+
+    assert tracer.roots()
+    assert sum_problems(tracer) == []
+    completed = system.metrics.completed
+    assert completed > 0 and len(seen) == 3 * completed
+    for start in range(0, len(seen), 3):
+        (first, item), (second, same), (third, again) = seen[start:start + 3]
+        assert (first, second, third) == (0, 1, 2)
+        assert item == same == again
+    assert tenants.delivered > 0 and tx.transmitted > 0
+    accelerator.check_no_lost_wakeups()
 
 
 def test_sampled_tracing_keeps_results_identical_and_subset_stable():
@@ -342,6 +390,35 @@ def test_traced_rack_bit_identical_with_causal_links():
     )
     names = sorted(child.name for child in tracer.children(request))
     assert names == ["queue.wait", "service"]
+
+
+def test_traced_rack_closes_rejected_rpcs():
+    # Four-slot rings at load 0.9 reject requests: the delivery hook
+    # closes each rejected rpc at its link arrival, with the link span.
+    from repro.cluster import ClusterConfig, run_cluster
+
+    config = ClusterConfig(
+        num_servers=3,
+        notification="spinning",
+        queues_per_server=4,
+        queue_capacity=4,
+        num_flows=16,
+        seed=4,
+    )
+    kwargs = dict(load=0.9, duration=0.004, warmup=0.0005)
+    baseline = run_cluster(config, **kwargs).metrics.summary()
+    tracer = Tracer(seed=2, sample_rate=0.5)
+    with active_tracer(tracer):
+        rack = run_cluster(config, **kwargs)
+    tracer.finalize()
+    assert rack.metrics.summary() == baseline
+    assert rack.metrics.rejected > 0
+    rejected = [span for span in tracer.roots() if span.attributes.get("rejected")]
+    assert rejected
+    for rpc in rejected:
+        links = tracer.children(rpc)
+        assert [link.name for link in links] == ["dispatch.link"]
+        assert links[0].end == rpc.end
 
 
 # -- decomposition report -----------------------------------------------------

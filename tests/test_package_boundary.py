@@ -75,3 +75,50 @@ def test_closed_loop_core_runs_spawn_no_process(runner):
         )
     assert metrics.completed > 0
     assert registry.as_dict()["sim.process_wakes"]["value"] == 0
+
+
+# -- components are observed through hook lists --------------------------------
+
+# Observers subscribe to hook lists (completion_hooks, dispatch_hooks,
+# delivery_hooks, dequeue_hooks); none may replace these methods on an
+# instance instead.
+OBSERVED_METHODS = {"complete", "dispatch", "enqueue", "dequeue_memory_cycles"}
+
+
+def _assigned_targets(node):
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        else:
+            yield target
+
+
+def _replacements(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for target in _assigned_targets(node):
+            if isinstance(target, ast.Attribute) and target.attr in OBSERVED_METHODS:
+                yield f"line {target.lineno}: assigns .{target.attr}"
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name is not None and name.startswith("_original_"):
+            yield f"line {node.lineno}: names {name}"
+
+
+def test_package_replaces_no_method_to_observe_it():
+    package = Path(repro.__file__).parent
+    offenders = sorted(
+        f"{path.relative_to(package)} {found}"
+        for path in package.rglob("*.py")
+        for found in set(_replacements(path))
+    )
+    assert offenders == []
