@@ -333,15 +333,17 @@ def _dist_leg(config, path, duration, workers, telemetry=None, **options):
 
 
 def dist_replay_8w(quick: bool) -> Dict[str, float]:
-    """Trace replay across an 8-worker fleet: lookahead overlap + wire
-    v2 vs. the lockstep runtime (`wire="v1", lookahead=1`).
+    """Trace replay across an 8-worker fleet: lookahead overlap vs. the
+    lockstep runtime (`lookahead=1`), both on the binary hot frames.
 
     The workload is a sparse long-horizon datacenter-style trace — many
     sub-millisecond windows, light per-window work — which is exactly
     where lockstep pays one RPC round-trip per worker per 50 µs window
     and the overlap runtime pays one per ~40-window batch. Rates are
     windows/sec through the fast runtime; ``speedup_vs_lockstep`` is
-    the committed headline (the CI dist gate pins it at >= 3x), the
+    the committed headline (the CI dist gate pins it at >= 3x; it was
+    recorded against JSON lockstep frames, so the measured binary
+    lockstep ratio runs lower), the
     ``*_2w`` fields show the 2 -> 8 worker trend, and ``bit_exact``
     asserts all four legs produced identical rss fingerprints.
     """
@@ -375,13 +377,9 @@ def dist_replay_8w(quick: bool) -> Dict[str, float]:
             path, itertools.takewhile(lambda r: r.time < duration, iter(source))
         )
         fast_wall, fast = _dist_leg(config, path, duration, 8)
-        lock_wall, lock = _dist_leg(
-            config, path, duration, 8, wire="v1", lookahead=1
-        )
+        lock_wall, lock = _dist_leg(config, path, duration, 8, lookahead=1)
         fast2_wall, fast2 = _dist_leg(config, path, duration, 2)
-        lock2_wall, lock2 = _dist_leg(
-            config, path, duration, 2, wire="v1", lookahead=1
-        )
+        lock2_wall, lock2 = _dist_leg(config, path, duration, 2, lookahead=1)
     finally:
         os.unlink(path)
     windows = fast.info["windows"]
@@ -444,7 +442,7 @@ def dist_grid_row(quick: bool) -> Dict[str, float]:
         return time.perf_counter() - t0, result
 
     fast_wall, fast = leg()
-    lock_wall, lock = leg(wire="v1", lookahead=1)
+    lock_wall, lock = leg(lookahead=1)
     windows = fast.info["windows"]
     fast_p99 = fast.metrics.p99_us
     lock_p99 = lock.metrics.p99_us
@@ -715,7 +713,7 @@ GATES: Dict[str, Gate] = {
         VEC, 0.5, committed={"speedup_vs_event": 50}, measured={"speedup_vs_event": 10},
         default=False),
     "dist_replay_8w": Gate(
-        dist_replay_8w, "8-worker trace replay: lookahead+wire-v2 vs lockstep",
+        dist_replay_8w, "8-worker trace replay: lookahead vs lockstep",
         DIST, 0.5, committed={"speedup_vs_lockstep": 3}, measured={"speedup_vs_lockstep": 1.5},
         bit_exact=True, default=False),
     "dist_grid_row": Gate(

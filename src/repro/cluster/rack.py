@@ -41,7 +41,12 @@ or delivery hook (a sweep bypasses :meth:`Rack.dispatch` and
 :meth:`ClusterServer.enqueue`, where those hooks run; the span probe
 subscribes to both). Windows split at every fault apply/revert boundary
 so straggler/degrade magnitude changes land between sweeps, exactly
-where the per-request path would see them.
+where the per-request path would see them. Inject a crash as a
+:class:`~repro.cluster.faults.FaultEvent` on ``rack.controller`` (the
+run then goes per-arrival) or call :meth:`Rack.crash_server` between
+runs; called from inside a swept run it raises. A run that goes
+per-arrival after a swept one first returns the sweep's pulled
+deliveries to the event path.
 
 Observers subscribe through hook lists, run in registration order:
 ``Rack.dispatch_hooks`` get ``(flow, arrival_time, server_id)`` after
@@ -400,10 +405,15 @@ class Rack:
             self.sim.schedule(delay, self._traffic_tick)
 
     def _traffic_tick(self, _value=None) -> None:
-        """Per-arrival traffic: one event per request (reference order)."""
+        """Per-arrival traffic: one event per request (reference order).
+        An arrival that finds every server down is lost, as a failed
+        re-dispatch is."""
         self.generated += 1
         self.metrics.dispatched += 1
-        self.dispatch(self._draw_flow(), self.sim.now)
+        try:
+            self.dispatch(self._draw_flow(), self.sim.now)
+        except AllServersDownError:
+            self.metrics.lost += 1
         if self._max_items is None or self.generated < self._max_items:
             self.sim.schedule(self._arrivals.next_interarrival(), self._traffic_tick)
 
@@ -666,7 +676,12 @@ class Rack:
             self._chunk_plan = None
             if self._next_arrival is not None:
                 # A previous run swept; hand the carried arrival to the
-                # per-arrival chain (flow not yet drawn, as required).
+                # per-arrival chain (flow not yet drawn, as required),
+                # and return pulled deliveries to the event path so the
+                # per-arrival enqueues cannot overtake them.
+                for server in self.servers:
+                    if server.pull_cores is not None:
+                        self._flush_pull(server)
                 self.sim.schedule_at(self._next_arrival, self._traffic_tick)
                 self._next_arrival = None
                 self._tick_started = True
@@ -742,7 +757,20 @@ class Rack:
     # -- failure handling ----------------------------------------------------
 
     def crash_server(self, index: int) -> None:
-        """Kill a server: re-steer its flows, re-dispatch its backlog."""
+        """Kill a server: re-steer its flows, re-dispatch its backlog.
+
+        Call it between runs, or let the controller call it. A batched
+        sweep has already steered and pre-drawn its whole window, so a
+        crash from an arbitrary callback inside a swept run raises
+        instead of silently diverging: inject it as a crash
+        :class:`~repro.cluster.faults.FaultEvent` on ``rack.controller``,
+        which keeps that run on the per-arrival path.
+        """
+        if self._chunk_plan is not None:
+            raise RuntimeError(
+                f"crash_server({index}) called inside a swept run: schedule "
+                "a crash FaultEvent on rack.controller instead"
+            )
         server = self.servers[index]
         if not server.up:
             return
@@ -837,6 +865,8 @@ class Rack:
                     and self.metrics.count >= target_completions
                 ):
                     break
+        # No swept run is in progress now; crash_server reads this.
+        self._chunk_plan = None
         self.metrics.measure_end = self.sim.now
         for server in self.servers:
             server.system.metrics.measure_end = self.sim.now

@@ -3,8 +3,9 @@
 The shared-timeline rack (:mod:`repro.cluster`) composes every server
 onto one simulator in one process; this package runs the same rack as a
 real fleet: each server slice lives in a spawned worker process
-(:mod:`repro.dist.worker`), a length-prefixed JSON wire protocol
-(:mod:`repro.dist.wire`) carries dispatch/completion/heartbeat traffic
+(:mod:`repro.dist.worker`), a length-prefixed wire protocol
+(:mod:`repro.dist.wire`: packed binary ``step``/``step_ok``, JSON for
+the rest) carries dispatch/completion/heartbeat traffic
 over loopback TCP or Unix sockets, and a streaming replayer
 (:mod:`repro.dist.replay`) feeds generated or recorded workloads at a
 configurable speed factor. The coordinator
@@ -36,8 +37,6 @@ from repro.dist.replay import (
     write_trace,
 )
 from repro.dist.wire import (
-    CAPABILITIES,
-    TELEMETRY_CAPABILITY,
     Channel,
     ChannelClosed,
     ChannelTimeout,
@@ -50,7 +49,6 @@ from repro.dist.wire import (
 
 __all__ = [
     "ArrivalSource",
-    "CAPABILITIES",
     "Channel",
     "ChannelClosed",
     "ChannelTimeout",
@@ -61,7 +59,6 @@ __all__ = [
     "ProtocolError",
     "RemoteError",
     "ReplayPacer",
-    "TELEMETRY_CAPABILITY",
     "TraceFileSource",
     "TraceRecord",
     "TRANSPORTS",

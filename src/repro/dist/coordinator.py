@@ -50,14 +50,9 @@ from repro.dist.wire import (
     DEFAULT_BACKOFF_CAP_S,
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
-    TELEMETRY_CAPABILITY,
-    WIRE_VERSIONS,
     Channel,
     ChannelClosed,
     ChannelTimeout,
-    ProtocolError,
-    RemoteError,
-    backoff_delay,
 )
 from repro.obs.live import DEFAULT_TELEMETRY_INTERVAL_S
 
@@ -98,19 +93,20 @@ class DistOptions:
     ``workers`` processes split the rack's servers round-robin; a fleet
     never spawns more workers than servers. ``speed_factor`` paces the
     replay against the wall clock (0 = max speed, the CI default).
-    ``wire`` picks the hot-path frame encoding (``"v2"`` binary by
-    default, ``"v1"`` forces JSON — the PR 7 behaviour). ``lookahead``
-    caps how many pre-steered windows ship per RPC exchange (``None`` =
-    derive a safe depth from the balancer policy and the fault
-    schedule; ``1`` restores strict lockstep).
+    ``lookahead`` caps how many pre-steered windows ship per RPC
+    exchange (``None`` = derive a safe depth from the balancer policy
+    and the fault schedule; ``1`` is strict lockstep, one window per
+    exchange). ``timeout_s``, ``retries``, ``backoff_s`` and
+    ``backoff_cap_s`` drive the one retry loop
+    (:meth:`~repro.dist.wire.Channel.await_reply`).
     ``crash_worker``/``crash_worker_at`` inject an abrupt worker death
     (``os._exit`` mid-step) for failover testing.
 
     ``telemetry_interval_s`` sets the workers' live-telemetry sampling
     cadence in simulated seconds once a bus is attached
-    (``run_cluster_dist(..., telemetry=...)``); ``0`` negotiates the
-    capability but leaves sampling off (workers build null samplers —
-    the priced "disabled" path of the ``telemetry_overhead`` bench).
+    (``run_cluster_dist(..., telemetry=...)``); ``0`` attaches
+    telemetry with sampling off (workers build null samplers — the
+    priced "disabled" path of the ``telemetry_overhead`` bench).
     ``flight_recorder_dir`` pins where a crash post-mortem dump is
     written (default: the system temp dir).
     """
@@ -118,7 +114,6 @@ class DistOptions:
     workers: int = 2
     transport: str = "unix"
     speed_factor: float = 0.0
-    wire: str = "v2"
     lookahead: Optional[int] = None
     timeout_s: float = 30.0
     retries: int = DEFAULT_RETRIES
@@ -140,10 +135,6 @@ class DistOptions:
             )
         if self.speed_factor < 0:
             raise ValueError("speed_factor must be >= 0 (0 = max speed)")
-        if self.wire not in WIRE_VERSIONS:
-            raise ValueError(
-                f"unknown wire version {self.wire!r}; known: {WIRE_VERSIONS}"
-            )
         if self.lookahead is not None and self.lookahead < 1:
             raise ValueError("lookahead must be >= 1 (or None for auto)")
         if self.timeout_s <= 0 or self.spawn_timeout_s <= 0:
@@ -156,8 +147,7 @@ class DistOptions:
             raise ValueError("crash_worker and crash_worker_at go together")
         if self.telemetry_interval_s < 0:
             raise ValueError(
-                "telemetry_interval_s must be >= 0 (0 = capability "
-                "negotiated, sampling off)"
+                "telemetry_interval_s must be >= 0 (0 = sampling off)"
             )
 
 
@@ -169,12 +159,6 @@ class WorkerHandle:
     channel: Optional[Channel] = None
     alive: bool = True
     last_heartbeat_t: float = 0.0
-    # Wire versions the worker's hello advertised (old workers predate
-    # the field and only speak JSON).
-    wire_versions: Tuple[str, ...] = ("v1",)
-    # Optional capabilities from hello (telemetry, ...); absent for old
-    # workers, so everything stays off against them.
-    caps: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -294,8 +278,6 @@ class WorkerPool:
                     )
                 channel.name = f"worker{worker_id}"
                 handle.channel = channel
-                handle.wire_versions = tuple(hello.get("wire", ("v1",)))
-                handle.caps = tuple(hello.get("caps", ()))
         except Exception:
             self.close()
             raise
@@ -352,50 +334,20 @@ class WorkerPool:
 
         replies: Dict[int, Dict[str, Any]] = {}
         for handle, message in in_flight:
-            attempt = 0
-            while True:
-                try:
-                    reply = handle.channel.recv(timeout=timeout_s)
-                except ChannelTimeout:
-                    attempt += 1
-                    if attempt > retries:
-                        self.mark_dead(handle)
-                        died.append(handle)
-                        break
-                    time.sleep(
-                        backoff_delay(attempt - 1, backoff_s, backoff_cap_s)
-                    )
-                    try:
-                        handle.channel.send(message)
-                    except ChannelClosed:
-                        self.mark_dead(handle)
-                        died.append(handle)
-                        break
-                    continue
-                except ChannelClosed:
-                    self.mark_dead(handle)
-                    died.append(handle)
-                    break
-                kind = reply.get("type")
-                if kind == "heartbeat":
-                    handle.last_heartbeat_t = float(reply.get("t", 0.0))
-                    if on_heartbeat is not None:
-                        on_heartbeat(handle, reply)
-                    continue
-                if kind == "error":
-                    raise RemoteError(
-                        f"worker {handle.worker_id} failed:\n"
-                        f"{reply.get('traceback', reply)}"
-                    )
-                if reply.get("seq") not in (None, message["seq"]):
-                    continue  # stale reply from an earlier retry
-                if kind != expect:
-                    raise ProtocolError(
-                        f"worker {handle.worker_id}: expected {expect!r}, "
-                        f"got {kind!r}"
-                    )
-                replies[handle.worker_id] = reply
-                break
+
+            def heartbeat(reply) -> None:
+                handle.last_heartbeat_t = float(reply.get("t", 0.0))
+                if on_heartbeat is not None:
+                    on_heartbeat(handle, reply)
+
+            try:
+                replies[handle.worker_id] = handle.channel.await_reply(
+                    message, expect, timeout_s, retries, backoff_s,
+                    backoff_cap_s, on_heartbeat=heartbeat,
+                )
+            except (ChannelClosed, ChannelTimeout):
+                self.mark_dead(handle)
+                died.append(handle)
         return replies, died
 
     def close(self) -> None:
@@ -459,13 +411,13 @@ def run_cluster_dist(
     :class:`repro.dist.replay.ArrivalSource` (e.g. a recorded trace).
 
     ``telemetry`` optionally attaches a
-    :class:`repro.obs.live.TelemetryBus`: the coordinator negotiates
-    the capability with capable workers, folds the telemetry frames
-    riding on step replies and heartbeats into the bus as they arrive,
-    and on a worker crash attaches the dead worker's flight-recorder
-    window to the fault record and dumps a post-mortem file (path in
-    ``info["flight_recorder"]``). Telemetry never perturbs the
-    simulation — runs are bit-exact with or without a bus.
+    :class:`repro.obs.live.TelemetryBus`: the coordinator switches
+    sampling on in every worker's ``configure``, folds the telemetry
+    frames riding on step replies and heartbeats into the bus as they
+    arrive, and on a worker crash attaches the dead worker's
+    flight-recorder window to the fault record and dumps a post-mortem
+    file (path in ``info["flight_recorder"]``). Telemetry never
+    perturbs the simulation — runs are bit-exact with or without a bus.
     """
     from repro.cluster.balancer import AllServersDownError, LoadBalancer
     from repro.cluster.config import STREAM_BALANCER, STREAM_FAULTS
@@ -570,14 +522,6 @@ def run_cluster_dist(
     try:
         import dataclasses
 
-        # Hot-path encoding: v2 only when every worker advertised it (a
-        # mixed fleet would still decode — frames are self-describing —
-        # but a uniform pick keeps the provenance block honest).
-        wire = options.wire
-        if any("v2" not in h.wire_versions for h in pool.handles):
-            wire = "v1"
-        info["wire"] = wire
-
         config_dict = dataclasses.asdict(config)
         configure = {}
         for handle in pool.handles:
@@ -588,15 +532,11 @@ def run_cluster_dist(
                 "warmup": warmup,
                 "metrics": collect_metrics,
                 "heartbeat_events": options.heartbeat_events,
-                "wire": wire,
             }
             if telemetry is not None:
-                if TELEMETRY_CAPABILITY in handle.caps:
-                    message["telemetry"] = {
-                        "interval_s": options.telemetry_interval_s,
-                    }
-                else:
-                    telemetry.no_telemetry_workers.add(handle.worker_id)
+                message["telemetry"] = {
+                    "interval_s": options.telemetry_interval_s,
+                }
             if options.crash_worker == handle.worker_id:
                 message["crash_at"] = options.crash_worker_at
             configure[handle.worker_id] = message
@@ -618,9 +558,6 @@ def run_cluster_dist(
                 f"workers failed during configure: "
                 f"{sorted(h.worker_id for h in died)}"
             )
-        if wire == "v2":
-            for handle in pool.handles:
-                handle.channel.wire_version = 2
 
         def fail_worker(handle: WorkerHandle, at: float, redisp_heap, seq) -> None:
             """Crash-fault handling for a vanished worker process."""
@@ -829,10 +766,13 @@ def run_cluster_dist(
                     else:  # arrive
                         metrics.dispatched += 1
                         record = payload
-                        dispatch_one(
-                            batches, record.flow, record.time, record.time,
-                            record.service_s,
-                        )
+                        try:
+                            dispatch_one(
+                                batches, record.flow, record.time,
+                                record.time, record.service_s,
+                            )
+                        except AllServersDownError:
+                            metrics.lost += 1
 
                 window_faults: Dict[int, List[Dict[str, Any]]] = {}
                 while (
@@ -970,16 +910,11 @@ def run_cluster_dist(
         info["exchanges"] = exchanges
         info["nodes"] = nodes
         if telemetry is not None:
-            telemetry_block = {
+            info["telemetry"] = {
                 "interval_s": options.telemetry_interval_s,
                 "frames": telemetry.frames_seen,
                 "workers": telemetry.worker_ids(),
             }
-            if telemetry.no_telemetry_workers:
-                telemetry_block["no_telemetry_workers"] = sorted(
-                    telemetry.no_telemetry_workers
-                )
-            info["telemetry"] = telemetry_block
         if pacer.slept_s:
             info["paced_sleep_s"] = pacer.slept_s
         return DistRun(metrics=metrics, nodes=nodes, info=info)

@@ -2,25 +2,22 @@
 
 Every message between the coordinator and a worker is one *frame*: a
 4-byte big-endian unsigned length followed by that many bytes of body.
-Two body encodings coexist on the same connection:
+Each message type has exactly one body encoding:
 
-- **v1 (JSON)** — UTF-8 JSON, the only encoding for handshake,
-  configure/ready, collect/collected, shutdown, heartbeats, and
+- **binary** — ``struct``-packed frames for the two *hot* messages,
+  ``step`` and ``step_ok``, which carry thousands of
+  dispatch/completion records per exchange. The body starts with a
+  NUL magic byte (never a valid JSON start). Floats travel as
+  IEEE-754 doubles, bit-exact both ways.
+- **JSON** — UTF-8 JSON for every other message: hello,
+  configure/ready, collect/collected, shutdown/bye, heartbeats, and
   errors. JSON keeps those paths stdlib-only and debuggable
   (``repro.obs`` metric snapshots and config dicts pass through
   unchanged); floats round-trip exactly through ``repr``.
-- **v2 (binary)** — ``struct``-packed frames for the two *hot*
-  messages, ``step`` and ``step_ok``, which carry thousands of
-  dispatch/completion records per exchange. The body starts with a
-  NUL magic byte (never a valid JSON start), so the decoder is
-  self-describing and both encodings interleave freely on one socket.
-  Floats travel as IEEE-754 doubles — bit-exact both ways, the same
-  guarantee the JSON ``repr`` round-trip gives.
 
-The encoding is negotiated at handshake: the worker's ``hello``
-advertises ``wire: ["v1", "v2"]`` and the coordinator's ``configure``
-selects one; either side falling back to v1 is always legal because
-decode dispatches on the magic byte, not on negotiated state.
+Nothing is negotiated: the coordinator spawns its workers from its own
+``repro`` package, so both ends always run the same build. The decoder
+dispatches on the magic byte.
 
 Message shapes (the ``type`` field selects the handler):
 
@@ -38,13 +35,13 @@ Message shapes (the ``type`` field selects the handler):
 ``step_ok``     worker -> coordinator: per window, the completions,
                 losses, re-dispatch requests, and rejections (plus the
                 ``collected`` payload when collect was piggybacked, and
-                any pending telemetry frames when the ``telemetry``
-                capability was negotiated).
+                any pending telemetry frames when the coordinator
+                attached a telemetry bus).
 ``heartbeat``   worker -> coordinator, interleaved while a long ``step``
                 is still running: liveness, the worker's current
-                simulated time, and (when negotiated) pending telemetry
-                frames. Never a reply; receivers skip it after
-                surfacing the payload to their heartbeat callback.
+                simulated time, and pending telemetry frames. Never a
+                reply; receivers skip it after surfacing the payload to
+                their heartbeat callback.
 ``collect``     coordinator -> worker: episode over — return the metrics
                 snapshot, per-node manifest block, and invariant status.
 ``collected``   worker -> coordinator: the requested payload.
@@ -61,7 +58,7 @@ it executed together with the reply it sent, and a re-delivered request
 (a retry after a timeout) returns the cached reply instead of executing
 twice. Dispatch/completion application therefore stays idempotent even
 when the coordinator retries with backoff (see
-:meth:`Channel.rpc`).
+:meth:`Channel.await_reply`).
 """
 
 from __future__ import annotations
@@ -87,12 +84,8 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
 
-# Wire versions this build speaks. v1 = JSON everything; v2 = binary
-# step/step_ok, JSON everything else.
-WIRE_VERSIONS = ("v1", "v2")
-
-# v2 binary layout. Body = NUL magic, kind byte, then the packed
-# message. JSON bodies can never start with NUL, so decode is
+# Binary layout of step/step_ok. Body = NUL magic, kind byte, then the
+# packed message. JSON bodies can never start with NUL, so decode is
 # self-describing.
 _BINARY_MAGIC = 0
 _KIND_STEP = 1
@@ -113,13 +106,6 @@ _HAS_ARR = 1
 _HAS_SVC = 2
 _HAS_COLLECT = 1
 _HAS_TELEMETRY = 2
-
-# Optional worker capabilities advertised in ``hello`` (alongside the
-# wire versions) and switched on by the coordinator's ``configure``.
-# Capabilities are always off unless negotiated, so old workers and old
-# coordinators interoperate unchanged.
-TELEMETRY_CAPABILITY = "telemetry"
-CAPABILITIES = (TELEMETRY_CAPABILITY,)
 
 
 def backoff_delay(
@@ -167,7 +153,7 @@ class RemoteError(WireError):
     """The worker's handler raised; carries the remote traceback."""
 
 
-def _encode_step_v2(message: Dict[str, Any]) -> bytes:
+def _encode_step(message: Dict[str, Any]) -> bytes:
     windows = message.get("windows", [])
     collect = message.get("collect")
     flags = _HAS_COLLECT if collect is not None else 0
@@ -209,7 +195,7 @@ def _encode_step_v2(message: Dict[str, Any]) -> bytes:
     return b"".join(parts)
 
 
-def _encode_step_ok_v2(message: Dict[str, Any]) -> bytes:
+def _encode_step_ok(message: Dict[str, Any]) -> bytes:
     windows = message.get("windows", [])
     collected = message.get("collected")
     telemetry = message.get("telemetry")
@@ -259,15 +245,15 @@ def _decode_binary(body: bytes) -> Dict[str, Any]:
     try:
         kind = body[1]
         if kind == _KIND_STEP:
-            return _decode_step_v2(body)
+            return _decode_step(body)
         if kind == _KIND_STEP_OK:
-            return _decode_step_ok_v2(body)
+            return _decode_step_ok(body)
         raise ProtocolError(f"unknown binary message kind {kind}")
     except (struct.error, IndexError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable binary frame: {exc}") from exc
 
 
-def _decode_step_v2(body: bytes) -> Dict[str, Any]:
+def _decode_step(body: bytes) -> Dict[str, Any]:
     _magic, _kind, seq, flags, n_windows = _STEP_HEAD.unpack_from(body, 0)
     offset = _STEP_HEAD.size
     message: Dict[str, Any] = {"type": "step", "seq": seq}
@@ -302,7 +288,7 @@ def _decode_step_v2(body: bytes) -> Dict[str, Any]:
     return message
 
 
-def _decode_step_ok_v2(body: bytes) -> Dict[str, Any]:
+def _decode_step_ok(body: bytes) -> Dict[str, Any]:
     _magic, _kind, seq, t, flags, n_windows = _OK_HEAD.unpack_from(body, 0)
     offset = _OK_HEAD.size
     (worker_id,) = _U32.unpack_from(body, offset)
@@ -352,20 +338,14 @@ def _decode_step_ok_v2(body: bytes) -> Dict[str, Any]:
     return message
 
 
-# Hot message types that take the binary path once v2 is negotiated.
-_BINARY_ENCODERS = {"step": _encode_step_v2, "step_ok": _encode_step_ok_v2}
+# The hot message types, always packed binary.
+_BINARY_ENCODERS = {"step": _encode_step, "step_ok": _encode_step_ok}
 
 
-def encode_frame(message: Dict[str, Any], wire_version: int = 1) -> bytes:
-    """Serialise one message to its on-wire form (header + body).
-
-    At ``wire_version`` 1 the body is always JSON; at 2, ``step`` and
-    ``step_ok`` take the packed binary path and everything else stays
-    JSON.
-    """
-    encoder = (
-        _BINARY_ENCODERS.get(message.get("type")) if wire_version >= 2 else None
-    )
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    """Serialise one message to its on-wire form (header + body):
+    ``step`` and ``step_ok`` packed binary, everything else JSON."""
+    encoder = _BINARY_ENCODERS.get(message.get("type"))
     if encoder is not None:
         body = encoder(message)
     else:
@@ -392,7 +372,7 @@ class Channel:
     """One framed, timeout-aware connection to a peer.
 
     Wraps a connected stream socket (TCP loopback or ``AF_UNIX``) with
-    frame send/receive and the coordinator-side RPC helper. All receive
+    frame send/receive and the coordinator's reply wait. All receive
     paths honour a deadline; send failures and EOF raise
     :class:`ChannelClosed` so callers can treat a dead peer uniformly.
     """
@@ -402,10 +382,6 @@ class Channel:
         self.name = name
         self._recv_buffer = b""
         self._seq = 0
-        # Negotiated at handshake; 1 until the configure exchange
-        # upgrades it. Only affects how *this side encodes* step and
-        # step_ok — decode always dispatches on the magic byte.
-        self.wire_version = 1
         # Keep frames flowing promptly on TCP: windows are small and
         # latency-sensitive, so disable Nagle where the option exists.
         try:
@@ -418,7 +394,7 @@ class Channel:
     def send(self, message: Dict[str, Any]) -> None:
         """Send one frame; a broken pipe surfaces as :class:`ChannelClosed`."""
         try:
-            self.sock.sendall(encode_frame(message, self.wire_version))
+            self.sock.sendall(encode_frame(message))
         except (BrokenPipeError, ConnectionError, OSError) as exc:
             raise ChannelClosed(f"{self.name}: send failed: {exc}") from exc
 
@@ -460,7 +436,7 @@ class Channel:
         self._seq += 1
         return self._seq
 
-    def rpc(
+    def await_reply(
         self,
         message: Dict[str, Any],
         expect: str,
@@ -470,51 +446,48 @@ class Channel:
         backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
         on_heartbeat=None,
     ) -> Dict[str, Any]:
-        """Send a request and await its typed reply, with retry/backoff.
+        """Await the typed reply to ``message``, a request already sent
+        with its ``seq``; the coordinator's one retry loop.
 
-        The request is stamped with a fresh ``seq``; on a timeout the
-        same frame (same ``seq``) is re-sent after a capped, jittered
-        exponential backoff (:func:`backoff_delay`), and the worker's
-        at-most-once cache guarantees re-delivery cannot re-execute the
-        step. Heartbeat frames reset the liveness deadline (and are
-        reported to ``on_heartbeat``) without counting as replies.
-        ``ChannelClosed`` is never retried — a vanished peer is a crash
-        fault for the caller's failover logic, not a transient.
+        On a timeout the same frame (same ``seq``) is re-sent after a
+        capped, jittered exponential backoff (:func:`backoff_delay`);
+        the worker's at-most-once cache guarantees re-delivery cannot
+        re-execute the step. After ``retries`` re-sends the last
+        :class:`ChannelTimeout` propagates. Heartbeat frames reset the
+        liveness deadline (and are passed to ``on_heartbeat``) without
+        counting as replies; stale replies to earlier requests are
+        dropped. ``ChannelClosed`` is never retried — a vanished peer
+        is a crash fault for the caller's failover logic, not a
+        transient.
         """
-        message = dict(message)
-        message.setdefault("seq", self.next_seq())
-        last_timeout: Optional[ChannelTimeout] = None
-        for attempt in range(retries + 1):
-            if attempt:
-                time.sleep(backoff_delay(attempt - 1, backoff_s, backoff_cap_s))
-            self.send(message)
-            while True:
-                try:
-                    reply = self.recv(timeout=timeout)
-                except ChannelTimeout as exc:
-                    last_timeout = exc
-                    break  # resend the same seq
-                if reply.get("type") == "heartbeat":
-                    if on_heartbeat is not None:
-                        on_heartbeat(reply)
-                    continue
-                if reply.get("type") == "error":
-                    raise RemoteError(
-                        f"{self.name}: remote handler failed:\n"
-                        f"{reply.get('traceback', reply)}"
-                    )
-                if reply.get("seq") not in (None, message["seq"]):
-                    # A stale reply from a retried earlier request:
-                    # drop it and keep waiting for ours.
-                    continue
-                if reply.get("type") != expect:
-                    raise ProtocolError(
-                        f"{self.name}: expected {expect!r}, got {reply.get('type')!r}"
-                    )
-                return reply
-        raise last_timeout if last_timeout is not None else ChannelTimeout(
-            f"{self.name}: rpc gave up after {retries + 1} attempts"
-        )
+        attempt = 0
+        while True:
+            try:
+                reply = self.recv(timeout=timeout)
+            except ChannelTimeout:
+                if attempt >= retries:
+                    raise
+                time.sleep(backoff_delay(attempt, backoff_s, backoff_cap_s))
+                attempt += 1
+                self.send(message)
+                continue
+            kind = reply.get("type")
+            if kind == "heartbeat":
+                if on_heartbeat is not None:
+                    on_heartbeat(reply)
+                continue
+            if kind == "error":
+                raise RemoteError(
+                    f"{self.name}: remote handler failed:\n"
+                    f"{reply.get('traceback', reply)}"
+                )
+            if reply.get("seq") not in (None, message["seq"]):
+                continue  # stale reply to a retried earlier request
+            if kind != expect:
+                raise ProtocolError(
+                    f"{self.name}: expected {expect!r}, got {kind!r}"
+                )
+            return reply
 
     def close(self) -> None:
         try:

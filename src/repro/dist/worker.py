@@ -41,7 +41,7 @@ import sys
 import traceback
 from typing import Any, Dict, List, Optional
 
-from repro.dist.wire import CAPABILITIES, WIRE_VERSIONS, Channel, ChannelClosed
+from repro.dist.wire import Channel, ChannelClosed
 
 # How many events a worker retires between heartbeats while executing a
 # step. Small enough for sub-second liveness at any realistic rate,
@@ -250,12 +250,6 @@ class WorkerHost:
             self._registry_cm.__exit__(None, None, None)
             self._registry_cm = None
         self.cluster_config = ClusterConfig(**msg["config"])
-        if msg.get("wire") == "v2":
-            # Negotiated upgrade: step_ok replies go out binary from the
-            # next frame on (this 'ready' reply itself stays JSON).
-            self.channel.wire_version = 2
-        else:
-            self.channel.wire_version = 1
         self.registry = MetricsRegistry(enabled=bool(msg.get("metrics", False)))
         self._registry_cm = active_registry(self.registry)
         self._registry_cm.__enter__()
@@ -278,9 +272,9 @@ class WorkerHost:
                 TelemetrySampler,
             )
 
-            # interval_s == 0 builds the null sampler: the capability is
-            # negotiated but every hook hits shared no-op instruments —
-            # the 'disabled' leg of the telemetry_overhead bench.
+            # interval_s == 0 builds the null sampler: a bus is attached
+            # but every hook hits shared no-op instruments — the
+            # 'disabled' leg of the telemetry_overhead bench.
             self.telemetry = TelemetrySampler(
                 self.worker_id,
                 interval_s=float(
@@ -562,8 +556,6 @@ def main(argv=None) -> int:
             "worker_id": args.worker_id,
             "token": args.token,
             "pid": os.getpid(),
-            "wire": list(WIRE_VERSIONS),
-            "caps": list(CAPABILITIES),
         }
     )
     host = WorkerHost(channel, args.worker_id)

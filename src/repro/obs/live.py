@@ -31,7 +31,7 @@ until the final manifest merge. This module makes the fleet observable
   (see docs/live-telemetry.md for the workflow).
 
 Disabled telemetry is free twice over: with no bus attached the
-capability is never negotiated and workers build nothing; with a bus
+coordinator asks for no telemetry and workers build nothing; with a bus
 attached but ``interval_s=0`` workers build a *null* sampler whose
 instruments are the shared no-op singletons — the bench scenario
 ``telemetry_overhead`` and its CI gate pin both paths.
@@ -117,8 +117,8 @@ class TelemetrySampler:
     never contaminate the final merged results. ``interval_s <= 0``
     builds the null variant — every instrument is the shared no-op
     singleton and :meth:`maybe_sample` returns immediately, so a
-    negotiated-but-disabled worker prices like one with no telemetry at
-    all (the ``telemetry_overhead`` bench's *disabled* leg).
+    worker with sampling switched off prices like one with no telemetry
+    at all (the ``telemetry_overhead`` bench's *disabled* leg).
     """
 
     def __init__(
@@ -280,9 +280,6 @@ class TelemetryBus:
         self.workers: Dict[int, WorkerView] = {}
         self.events: "deque[Dict[str, Any]]" = deque(maxlen=event_log)
         self.frames_seen = 0
-        # Workers that could not stream (capability missing or sampling
-        # negotiated off) — surfaced in fault records and the manifest.
-        self.no_telemetry_workers: set = set()
         self._consumers: List[Callable[[Dict[str, Any]], None]] = []
 
     def subscribe(self, consumer: Callable[[Dict[str, Any]], None]) -> None:
@@ -418,7 +415,6 @@ class TelemetryBus:
                     str(worker_id): len(self.workers[worker_id].frames)
                     for worker_id in self.worker_ids()
                 },
-                "no_telemetry_workers": sorted(self.no_telemetry_workers),
                 "events": list(self.events),
             }
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")

@@ -19,6 +19,7 @@ from repro.cluster import (
     flow_weights,
     run_cluster,
 )
+from repro.cluster.controller import ClusterController
 from repro.cluster.faults import (
     LINK_DEGRADE_MAGNITUDE,
     STRAGGLER_MAGNITUDE,
@@ -325,6 +326,29 @@ def test_crash_reverts_and_accounts_for_failover():
     accounted = completed + rack.metrics.lost
     assert accounted <= rack.generated
     assert rack.generated - accounted < 100
+
+
+def test_arrival_with_every_server_down_is_lost_not_raised():
+    # Both servers of a p2c rack (per-arrival traffic) crash at 0.5 ms:
+    # every later arrival finds no live server and is lost, exactly as
+    # a re-dispatch that finds none is.
+    config = ClusterConfig(
+        num_servers=2, notification="spinning", balancer="p2c",
+        queues_per_server=8, num_flows=16, seed=1,
+    )
+    rack = Rack(config)
+    rack.attach_open_loop(load=0.5)
+    rack.controller = ClusterController(
+        rack, [FaultEvent(0.0005, "crash", server, duration=1.0) for server in (0, 1)]
+    )
+    rack.controller.start()
+    rack.run(duration=0.001, warmup=0.0)
+    assert rack.sim.now == pytest.approx(0.001)
+    assert not any(server.up for server in rack.servers)
+    # Before the crash every arrival reached a server; after it none did.
+    turned_away = rack.generated - sum(server.dispatched for server in rack.servers)
+    assert turned_away > 0
+    assert rack.metrics.lost >= turned_away
 
 
 def test_straggler_inflates_victim_service_and_reverts():

@@ -6,8 +6,8 @@ client metrics (exact latency sample lists included), same per-server
 stats, and the same RNG stream positions — draw-for-draw equivalence,
 not just distributional. These tests fuzz that contract across the
 notification x balancer x fault x fleet-size grid, with spinning
-servers also of 2 or 4 cores in shared and unshared clusters, and pin the
-supporting caches (interned weight tables, flow->queue memo, the
+servers also of 2 or 4 cores in shared and unshared clusters, pin racks
+that run more than once or take a crash, and pin the supporting caches (interned weight tables, flow->queue memo, the
 unrolled P² estimator) against their reference counterparts.
 """
 
@@ -18,6 +18,8 @@ import pytest
 
 from repro.cluster import tables
 from repro.cluster.config import ClusterConfig
+from repro.cluster.controller import ClusterController
+from repro.cluster.faults import FaultEvent
 from repro.cluster.rack import Rack
 from repro.sdp import locality
 from repro.sdp.quantiles import P2Quantile
@@ -169,6 +171,85 @@ def test_tiny_capacity_overload_rejections_identical():
     assert fast.metrics.rejected > 0
 
 
+# -- multi-run racks and crash injection -------------------------------------
+
+SWEEPABLE = [
+    pytest.param(notification, balancer, id=f"{notification}-{balancer}")
+    for notification in ("spinning", "hyperplane")
+    for balancer in ("rss", "round-robin")
+]
+
+
+def _open_rack(rack_cls, notification, balancer, seed):
+    """A 4-server rack whose first run sweeps (rss or round-robin)."""
+    tables.clear_tables()
+    rack = rack_cls(
+        ClusterConfig(
+            num_servers=4,
+            notification=notification,
+            balancer=balancer,
+            queues_per_server=8,
+            num_flows=32,
+            seed=seed,
+        )
+    )
+    rack.attach_open_loop(load=0.5)
+    return rack
+
+
+def _assert_runs_identical(notification, balancer, seed, drive):
+    racks = []
+    for rack_cls in (ReferenceRack, Rack):
+        rack = _open_rack(rack_cls, notification, balancer, seed)
+        drive(rack)
+        racks.append(rack)
+    ref, fast = racks
+    assert _state(fast) == _state(ref)
+
+
+@pytest.mark.parametrize("seed", (2, 8, 10))
+@pytest.mark.parametrize("notification, balancer", SWEEPABLE)
+def test_swept_then_per_arrival_run_matches_reference(notification, balancer, seed):
+    # A completion target keeps the second run per-arrival; the first
+    # run's pulled deliveries must not be overtaken by its enqueues.
+    def drive(rack):
+        rack.run(duration=0.001)
+        rack.run(duration=0.001, target_completions=10**9)
+
+    _assert_runs_identical(notification, balancer, seed, drive)
+
+
+@pytest.mark.parametrize("notification, balancer", SWEEPABLE)
+def test_crash_between_swept_runs_matches_reference(notification, balancer):
+    def drive(rack):
+        rack.run(duration=0.001)
+        rack.crash_server(1)
+        rack.run(duration=0.001)
+
+    _assert_runs_identical(notification, balancer, 2, drive)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("notification, balancer", SWEEPABLE)
+def test_controller_crash_event_matches_reference(notification, balancer, seed):
+    def drive(rack):
+        rack.controller = ClusterController(
+            rack, [FaultEvent(0.0007, "crash", 1, duration=1.0)]
+        )
+        rack.controller.start()
+        rack.run(duration=0.002)
+
+    _assert_runs_identical(notification, balancer, seed, drive)
+
+
+@pytest.mark.parametrize("notification, balancer", SWEEPABLE)
+def test_crash_server_inside_a_swept_run_raises(notification, balancer):
+    rack = _open_rack(Rack, notification, balancer, 0)
+    rack.sim.schedule_at(0.0007, lambda _=None: rack.crash_server(1))
+    with pytest.raises(RuntimeError, match=r"crash FaultEvent on rack\.controller"):
+        rack.run(duration=0.002)
+
+
 # -- satellite: queue_for_flow cache -----------------------------------------
 
 
@@ -218,8 +299,10 @@ def test_queue_for_flow_stable_across_crash_restart_epochs():
     server = rack.servers[0]
     before = {flow: server.queue_for_flow(flow) for flow in range(32)}
     rack.attach_open_loop(load=0.5)
-    rack.sim.schedule(0.0004, lambda _=None: rack.crash_server(0))
-    rack.sim.schedule(0.0008, lambda _=None: rack.restart_server(0))
+    rack.controller = ClusterController(
+        rack, [FaultEvent(0.0004, "crash", 0, duration=0.0004)]
+    )
+    rack.controller.start()
     rack.run(duration=0.0015, warmup=0.0)
     assert server.epoch > 0
     after = {flow: server.queue_for_flow(flow) for flow in range(32)}

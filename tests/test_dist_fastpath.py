@@ -1,19 +1,19 @@
-"""The dist fast path: backoff, window batching, and the v2 wire codec.
-
-These are the PR-8 contracts layered on top of the PR-7 runtime:
+"""The dist fast path: backoff, window batching, and the binary codec.
 
 - ``backoff_delay`` grows exponentially with jitter and a cap, and
-  ``Channel.rpc`` actually sleeps those growing delays between retries;
+  ``Channel.await_reply`` actually sleeps those growing delays between
+  retries;
 - ``take_window`` half-open boundary semantics (a record exactly on the
   bound belongs to the *next* window, and the one-record lookahead is
   never lost across consecutive windows);
-- the binary wire format v2 round-trips every step/step_ok shape to the
-  same decoded message the JSON v1 path produces (fuzzed);
-- ``DistOptions`` validates the new ``wire`` / ``lookahead`` /
-  ``backoff_cap_s`` knobs, and the ``--workers`` / ``--transport`` CLI
+- the binary step/step_ok codec round-trips every message shape to the
+  same dict a JSON round-trip gives (fuzzed);
+- ``DistOptions`` validates the ``lookahead`` / ``backoff_cap_s`` knobs
+  and has no ``wire`` knob, and the ``--workers`` / ``--transport`` CLI
   boundary keeps the listed-choices UsageError -> exit 2 contract.
 """
 
+import json
 import random
 import socket
 
@@ -69,9 +69,11 @@ def test_rpc_sleeps_growing_backoff_between_retries(monkeypatch):
     try:
         # Nobody ever replies: every attempt times out, and the sleeps
         # between attempts are the capped exponential schedule.
+        message = {"type": "step", "seq": left.next_seq(), "windows": []}
+        left.send(message)
         with pytest.raises(ChannelTimeout):
-            left.rpc(
-                {"type": "step", "windows": []},
+            left.await_reply(
+                message,
                 expect="step_ok",
                 timeout=0.01,
                 retries=6,
@@ -140,12 +142,20 @@ def test_take_window_never_buffers_more_than_one_record():
     assert len(seen) == 5 and len(pending) == 1
 
 
-# -- wire v2 <-> v1 fuzz ------------------------------------------------------
+# -- binary codec vs. a JSON round-trip --------------------------------------
 
 
-def roundtrip(message, wire_version):
-    frame = encode_frame(message, wire_version=wire_version)
-    return decode_body(frame[4:])
+def roundtrip(message):
+    return decode_body(encode_frame(message)[4:])
+
+
+def json_roundtrip(message):
+    return json.loads(json.dumps(message))
+
+
+def json_frame(message):
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return len(body).to_bytes(4, "big") + body
 
 
 def fuzz_step(rng):
@@ -260,8 +270,8 @@ def fuzz_step_ok(rng):
         }
     if rng.random() < 0.4:
         # Piggybacked live-telemetry frames ride a length-prefixed JSON
-        # trailer on the v2 wire; both paths must agree, with or
-        # without a collected payload in front.
+        # trailer in the binary frame; it must round-trip as JSON does,
+        # with or without a collected payload in front.
         message["telemetry"] = [
             fuzz_telemetry_frame(rng) for _ in range(rng.randrange(1, 4))
         ]
@@ -273,9 +283,9 @@ def test_wire_v2_roundtrip_matches_v1_fuzzed(fuzzer):
     rng = random.Random(2024)
     for _ in range(200):
         message = fuzzer(rng)
-        via_v1 = roundtrip(message, wire_version=1)
-        via_v2 = roundtrip(message, wire_version=2)
-        assert via_v2 == via_v1, message
+        via_json = json_roundtrip(message)
+        via_binary = roundtrip(message)
+        assert via_binary == via_json, message
 
 
 def test_wire_v2_frames_are_binary_and_smaller_on_hot_messages():
@@ -283,25 +293,23 @@ def test_wire_v2_frames_are_binary_and_smaller_on_hot_messages():
     message = fuzz_step(rng)
     while not any(w["dispatches"] for w in message["windows"]):
         message = fuzz_step(rng)
-    v1 = encode_frame(message, wire_version=1)
-    v2 = encode_frame(message, wire_version=2)
-    assert v2[4:5] == b"\x00"  # binary magic: never a valid JSON start
-    assert v1[4:5] != b"\x00"
-    assert len(v2) < len(v1)
+    as_json = json_frame(message)
+    binary = encode_frame(message)
+    assert binary[4:5] == b"\x00"  # binary magic: never a valid JSON start
+    assert as_json[4:5] != b"\x00"
+    assert len(binary) < len(as_json)
 
 
 def test_wire_v2_leaves_cold_messages_as_json():
-    message = {"type": "hello", "worker_id": 3, "wire": ["v1", "v2"]}
-    assert encode_frame(message, wire_version=2) == encode_frame(
-        message, wire_version=1
-    )
+    message = {"type": "hello", "worker_id": 3, "pid": 4242}
+    assert encode_frame(message) == json_frame(message)
 
 
 def test_truncated_v2_frame_raises_protocol_error():
     from repro.dist.wire import ProtocolError
 
     message = fuzz_step(random.Random(11))
-    body = encode_frame(message, wire_version=2)[4:]
+    body = encode_frame(message)[4:]
     with pytest.raises(ProtocolError):
         decode_body(body[: len(body) // 2] if len(body) > 20 else body[:5])
 
@@ -310,10 +318,10 @@ def test_truncated_v2_frame_raises_protocol_error():
 
 
 def test_dist_options_validates_wire_and_lookahead():
-    assert DistOptions(wire="v1").wire == "v1"
+    # One encoding per message type: there is no wire knob to pick.
+    with pytest.raises(TypeError, match="wire"):
+        DistOptions(wire="v1")
     assert DistOptions(lookahead=5).lookahead == 5
-    with pytest.raises(ValueError, match="wire"):
-        DistOptions(wire="v3")
     with pytest.raises(ValueError, match="lookahead"):
         DistOptions(lookahead=0)
     with pytest.raises(ValueError, match="backoff"):

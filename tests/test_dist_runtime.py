@@ -134,6 +134,32 @@ def test_worker_crash_fails_over_and_flags_partial():
     assert crashed_share < healthy_share
 
 
+def test_fresh_arrivals_with_every_server_down_are_lost():
+    # A modelled crash takes one server down for 30-70% of the run; the
+    # other server's worker dies at 8 ms, so for a while no server is
+    # live. Fresh arrivals then count as lost, as failed re-dispatches
+    # do, and the run finishes partial instead of raising.
+    from repro.cluster.config import STREAM_FAULTS
+    from repro.cluster.faults import fault_schedule
+    from repro.sim.rng import RandomStreams
+
+    config = small_config(num_servers=2, fault_profile="crash", seed=0)
+    (crash,) = fault_schedule(
+        "crash", 2, WARMUP + DURATION, RandomStreams(0).stream(STREAM_FAULTS)
+    )
+    assert crash.time < 0.008 < crash.end_time
+    dist = run_cluster_dist(
+        config, load=LOAD, duration=DURATION, warmup=WARMUP,
+        options=DistOptions(
+            workers=2, crash_worker=1 - crash.server, crash_worker_at=0.008
+        ),
+    )
+    assert dist.partial
+    assert [fault["worker_id"] for fault in dist.worker_faults] == [1 - crash.server]
+    assert dist.metrics.lost > 0
+    assert dist.metrics.count > 0
+
+
 def test_metrics_registry_merges_across_nodes():
     from repro.obs import MetricsRegistry
     from repro.obs.runtime import active_registry

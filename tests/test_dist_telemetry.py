@@ -19,9 +19,9 @@ import threading
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.dist import DistOptions, TELEMETRY_CAPABILITY, run_cluster_dist
+from repro.dist import DistOptions, run_cluster_dist
 from repro.dist.coordinator import WorkerHandle, WorkerPool
-from repro.dist.wire import Channel
+from repro.dist.wire import Channel, ChannelClosed, ChannelTimeout
 from repro.obs.live import TelemetryBus, parse_telemetry_jsonl, validate_frame
 
 LOAD = 0.25
@@ -127,19 +127,25 @@ def test_worker_crash_without_bus_marks_no_telemetry():
 
 
 class _FakeProcess:
+    """A worker process that is running until killed, then reaped."""
+
+    def __init__(self):
+        self.returncode = None
+        self.reaped = False
+
     def poll(self):
-        return 0
+        return self.returncode
 
     def kill(self):
-        pass
+        self.returncode = -9
 
     def wait(self):
-        return 0
+        self.reaped = True
+        return self.returncode
 
 
-def test_broadcast_surfaces_full_heartbeat_payload():
-    """broadcast() used to keep only the heartbeat timestamp; telemetry
-    frames (and any future health data) must reach the callback whole."""
+def one_worker_pool():
+    """A pool of one fake worker: (pool, its handle, the worker's end)."""
     coord_sock, worker_sock = socket.socketpair()
     coordinator = Channel(coord_sock, name="coord")
     worker = Channel(worker_sock, name="worker0")
@@ -147,12 +153,18 @@ def test_broadcast_surfaces_full_heartbeat_payload():
     pool.transport = "unix"
     pool._tempdir = None
     pool._listener = None
-    pool.handles = [
-        WorkerHandle(
-            worker_id=0, servers=[0], process=_FakeProcess(),
-            channel=coordinator, caps=(TELEMETRY_CAPABILITY,),
-        )
-    ]
+    handle = WorkerHandle(
+        worker_id=0, servers=[0], process=_FakeProcess(), channel=coordinator
+    )
+    pool.handles = [handle]
+    return pool, handle, worker
+
+
+def test_broadcast_surfaces_full_heartbeat_payload():
+    """broadcast() used to keep only the heartbeat timestamp; telemetry
+    frames (and any future health data) must reach the callback whole."""
+    pool, handle, worker = one_worker_pool()
+    coordinator = handle.channel
     frame = {
         "v": 1, "worker": 0, "seq": 0, "t": 0.0015,
         "metrics": {"live.completions": {"kind": "counter", "value": 3.0}},
@@ -199,17 +211,8 @@ def test_broadcast_surfaces_full_heartbeat_payload():
 
 
 def test_broadcast_without_callback_still_tracks_liveness():
-    coord_sock, worker_sock = socket.socketpair()
-    coordinator = Channel(coord_sock, name="coord")
-    worker = Channel(worker_sock, name="worker0")
-    pool = WorkerPool.__new__(WorkerPool)
-    pool.transport = "unix"
-    pool._tempdir = None
-    pool._listener = None
-    handle = WorkerHandle(
-        worker_id=0, servers=[0], process=_FakeProcess(), channel=coordinator
-    )
-    pool.handles = [handle]
+    pool, handle, worker = one_worker_pool()
+    coordinator = handle.channel
 
     def serve():
         request = worker.recv(timeout=5.0)
@@ -232,6 +235,65 @@ def test_broadcast_without_callback_still_tracks_liveness():
         worker.close()
     assert not died and 0 in replies
     assert handle.last_heartbeat_t == 3.25
+
+
+# -- the one retry loop, driven through broadcast -----------------------------
+
+
+def test_broadcast_resends_same_seq_and_returns_the_late_reply():
+    pool, handle, worker = one_worker_pool()
+    seqs = []
+
+    def serve():
+        # Stay silent past timeout_s; answer only the re-sent frame.
+        first = worker.recv(timeout=5.0)
+        second = worker.recv(timeout=5.0)
+        seqs.extend([first["seq"], second["seq"]])
+        worker.send({
+            "type": "step_ok", "seq": second["seq"], "worker_id": 0,
+            "t": 7.5, "windows": [],
+        })
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        replies, died = WorkerPool.broadcast(
+            pool, {0: {"type": "step", "windows": []}}, "step_ok",
+            timeout_s=0.2, retries=2, backoff_s=0.01,
+        )
+    finally:
+        thread.join()
+        handle.channel.close()
+        worker.close()
+    assert seqs[0] == seqs[1]  # the re-send carried the same seq
+    assert not died and handle.alive
+    assert replies[0]["seq"] == seqs[0]
+    assert replies[0]["t"] == 7.5
+
+
+def test_broadcast_marks_a_silent_worker_dead_after_retries():
+    pool, handle, worker = one_worker_pool()
+    retries = 2
+    try:
+        replies, died = WorkerPool.broadcast(
+            pool, {0: {"type": "step", "windows": []}}, "step_ok",
+            timeout_s=0.05, retries=retries, backoff_s=0.001,
+        )
+        # Every frame the worker got: the request and its re-sends.
+        frames = []
+        while True:
+            try:
+                frames.append(worker.recv(timeout=0.2))
+            except (ChannelClosed, ChannelTimeout):
+                break
+    finally:
+        handle.channel.close()
+        worker.close()
+    assert replies == {}
+    assert died == [handle] and not handle.alive
+    assert len(frames) == retries + 1
+    assert len({frame["seq"] for frame in frames}) == 1
+    assert handle.process.returncode is not None and handle.process.reaped
 
 
 # -- experiment threading ----------------------------------------------------

@@ -32,7 +32,7 @@ def channel_pair():
 
 
 def test_frame_roundtrip_preserves_floats_exactly():
-    message = {"type": "step_ok", "t": 0.1 + 0.2, "values": [1e-7, 3.5e9]}
+    message = {"type": "collected", "t": 0.1 + 0.2, "values": [1e-7, 3.5e9]}
     frame = encode_frame(message)
     assert decode_body(frame[4:]) == message
 
@@ -82,6 +82,14 @@ def test_recv_timeout_raises_channel_timeout():
 # -- RPC semantics ------------------------------------------------------------
 
 
+def send_and_await(channel, **kwargs):
+    """Send a collect request stamped with a fresh seq, as
+    ``WorkerPool.broadcast`` does, and return the await_reply result."""
+    message = {"type": "collect", "seq": channel.next_seq()}
+    channel.send(message)
+    return channel.await_reply(message, "collected", **kwargs)
+
+
 def test_rpc_skips_heartbeats_and_matches_seq():
     a, b = channel_pair()
 
@@ -89,14 +97,14 @@ def test_rpc_skips_heartbeats_and_matches_seq():
         request = b.recv(timeout=5)
         b.send({"type": "heartbeat", "sim_now": 0.001})
         b.send({"type": "heartbeat", "sim_now": 0.002})
-        b.send({"type": "step_ok", "seq": request["seq"], "done": True})
+        b.send({"type": "collected", "seq": request["seq"], "done": True})
 
     thread = threading.Thread(target=worker)
     thread.start()
     try:
         beats = []
-        reply = a.rpc(
-            {"type": "step"}, "step_ok", timeout=5,
+        reply = send_and_await(
+            a, timeout=5,
             on_heartbeat=lambda hb: beats.append(hb["sim_now"]),
         )
         assert reply["done"] is True
@@ -118,18 +126,18 @@ def test_rpc_retries_same_seq_and_drops_stale_replies():
         first = b.recv(timeout=5)
         second = b.recv(timeout=5)
         seen.extend([first["seq"], second["seq"]])
-        b.send({"type": "step_ok", "seq": second["seq"], "n": 1})
+        b.send({"type": "collected", "seq": second["seq"], "n": 1})
         nxt = b.recv(timeout=5)
-        b.send({"type": "step_ok", "seq": nxt["seq"] - 1, "n": "stale"})
-        b.send({"type": "step_ok", "seq": nxt["seq"], "n": 2})
+        b.send({"type": "collected", "seq": nxt["seq"] - 1, "n": "stale"})
+        b.send({"type": "collected", "seq": nxt["seq"], "n": 2})
 
     thread = threading.Thread(target=worker)
     thread.start()
     try:
-        reply = a.rpc({"type": "step"}, "step_ok", timeout=0.2, retries=2)
+        reply = send_and_await(a, timeout=0.2, retries=2)
         assert reply["n"] == 1
         assert seen[0] == seen[1]  # the retry re-sent the same seq
-        reply = a.rpc({"type": "step"}, "step_ok", timeout=5)
+        reply = send_and_await(a, timeout=5)
         assert reply["n"] == 2  # the stale frame was dropped, not returned
     finally:
         thread.join()
@@ -148,7 +156,7 @@ def test_rpc_surfaces_remote_errors():
     thread.start()
     try:
         with pytest.raises(RemoteError, match="boom"):
-            a.rpc({"type": "step"}, "step_ok", timeout=5)
+            send_and_await(a, timeout=5)
     finally:
         thread.join()
         a.close()

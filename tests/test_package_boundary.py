@@ -122,3 +122,54 @@ def test_package_replaces_no_method_to_observe_it():
         for found in set(_replacements(path))
     )
     assert offenders == []
+
+
+# -- repro.dist speaks one protocol ---------------------------------------------
+
+# Names of the removed wire-version and capability handshake.
+REMOVED_DIST_NAMES = ("WIRE_VERSIONS", "CAPABILITIES", "TELEMETRY_CAPABILITY")
+
+
+def test_dist_options_has_no_wire_knob():
+    import dataclasses
+
+    from repro.dist import DistOptions
+
+    assert "wire" not in {field.name for field in dataclasses.fields(DistOptions)}
+
+
+def test_dist_exports_no_handshake_names():
+    import repro.dist
+    import repro.dist.wire
+
+    for name in REMOVED_DIST_NAMES:
+        assert not hasattr(repro.dist, name), name
+        assert name not in repro.dist.__all__, name
+        assert not hasattr(repro.dist.wire, name), name
+
+
+def _functions_calling(path, callee):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == callee:
+                yield f"{path.name}:{node.name}"
+                break
+
+
+def test_dist_has_one_retry_loop():
+    # backoff_delay paces the re-sends of an unanswered request; one
+    # function runs that loop for every caller.
+    package = Path(repro.__file__).parent / "dist"
+    callers = sorted(
+        caller
+        for path in package.rglob("*.py")
+        for caller in set(_functions_calling(path, "backoff_delay"))
+    )
+    assert callers == ["wire.py:await_reply"]
