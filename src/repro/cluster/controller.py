@@ -6,11 +6,17 @@ it on the shared simulation timeline: crash -> mark the server down,
 re-steer its flows, re-dispatch its backlog; straggler -> inflate the
 victim's service times; link-degrade -> slow the victim's access link.
 Every fault reverts after its window.
+
+The rack may be a :class:`~repro.cluster.rack.Rack` or a dist worker
+host: the controller needs only its ``sim``, its ``servers`` indexable
+by server index, and its ``crash_server``/``restart_server``.
+Observers subscribe to ``fault_hooks``; each gets ``(event, end)``
+after every apply (``end`` false) and every revert (``end`` true).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.cluster.faults import FaultEvent
 
@@ -23,6 +29,7 @@ class ClusterController:
         self.events = list(events)
         self.applied: List[Tuple[float, FaultEvent]] = []
         self.reverted: List[Tuple[float, FaultEvent]] = []
+        self.fault_hooks: List[Callable[[FaultEvent, bool], None]] = []
         self._started = False
 
     def start(self) -> None:
@@ -42,6 +49,8 @@ class ClusterController:
         else:  # link-degrade
             self.rack.servers[event.server].link.degrade = event.magnitude
         self.rack.sim.schedule(event.duration, self._revert, event)
+        for hook in self.fault_hooks:
+            hook(event, False)
 
     def _revert(self, event: FaultEvent) -> None:
         self.reverted.append((self.rack.sim.now, event))
@@ -51,3 +60,5 @@ class ClusterController:
             self.rack.servers[event.server].slow_factor = 1.0
         else:
             self.rack.servers[event.server].link.degrade = 1.0
+        for hook in self.fault_hooks:
+            hook(event, True)

@@ -86,12 +86,19 @@ from repro.sim.rng import RandomStreams, derive_seed
 from repro.traffic.arrivals import PoissonArrivals, load_to_rate
 
 __all__ = [
+    "CHECK_CHUNK_S",
     "TWO_POW_64",
     "flow_weights",
     "ClusterServer",
     "Rack",
     "run_cluster",
 ]
+
+# Simulated seconds between a run's target-completion checks, and the
+# length of a batched delivery sweep window. The dist coordinator's
+# windows divide it, so both runtimes stop measuring at the same
+# instants.
+CHECK_CHUNK_S = 2e-3
 
 # Balancer policies whose steering is deterministic given the live set:
 # eligible for the batched delivery sweep. p2c and least-loaded read
@@ -115,7 +122,13 @@ def flow_weights(num_flows: int, skew: float) -> List[float]:
 
 
 class ClusterServer:
-    """One rack slot: an unmodified data-plane system plus fleet state."""
+    """One rack slot: an unmodified data-plane system plus fleet state.
+
+    ``rack`` is the owner: a :class:`Rack`, or a dist worker host, whose
+    server subclass replaces only delivery and completion reporting
+    (:class:`repro.dist.worker.WorkerServer`). The constructor reads
+    ``rack.config`` and ``rack.sim``.
+    """
 
     __slots__ = (
         "rack",
@@ -295,6 +308,34 @@ class ClusterServer:
             # after restart: the client never saw this response.
             self.lost += 1
             rack.metrics.lost += 1
+
+    def fail(self) -> List[WorkItem]:
+        """Mark the server down, bump its epoch, and return its queued
+        fleet items, whose clients retry elsewhere.
+
+        The items stay in the rings: the cores still serve them, and
+        each such completion counts as lost.
+        """
+        self.up = False
+        self.epoch += 1
+        return [
+            item
+            for queue in self.system.queues
+            for item in queue.pending_items()
+            if isinstance(item.payload, tuple) and len(item.payload) == 3
+        ]
+
+    def check_invariants(self) -> None:
+        """Queue/doorbell agreement and HyperPlane wake-up soundness."""
+        self.system.check_invariants()
+        if self.accelerator is not None:
+            self.accelerator.check_no_lost_wakeups(
+                being_serviced={
+                    core.servicing
+                    for core in self.cores
+                    if core.servicing is not None
+                }
+            )
 
 
 class Rack:
@@ -649,7 +690,7 @@ class Rack:
                 else:
                     schedule_at(when, deliver, item)
 
-    def _plan_traffic(self, start: float, deadline: float, chunk: float,
+    def _plan_traffic(self, start: float, deadline: float,
                       target_completions: Optional[int]) -> None:
         """Choose the traffic mode for this run and build the window plan.
 
@@ -689,7 +730,7 @@ class Rack:
         bounds = []
         bound = start
         while True:
-            bound = bound + chunk
+            bound = bound + CHECK_CHUNK_S
             if bound >= deadline:
                 break
             bounds.append(bound)
@@ -780,16 +821,11 @@ class Rack:
             # what the reference's enqueues did) and convert future ones
             # to events, whose down-server arrival redispatches exactly.
             self._flush_pull(server)
-        server.up = False
-        server.epoch += 1
+        backlog = server.fail()
         self.balancer.mark_down(index)
-        for queue in server.system.queues:
-            for item in queue.pending_items():
-                payload = item.payload
-                if not (isinstance(payload, tuple) and len(payload) == 3):
-                    continue
-                flow, _epoch, base_service = payload
-                self.redispatch(flow, item.arrival_time, base_service)
+        for item in backlog:
+            flow, _epoch, base_service = item.payload
+            self.redispatch(flow, item.arrival_time, base_service)
 
     def restart_server(self, index: int) -> None:
         """Bring a crashed server back into the balancer pool."""
@@ -806,7 +842,6 @@ class Rack:
         duration: float,
         warmup: float = 0.0,
         target_completions: Optional[int] = None,
-        chunk: float = 2e-3,
     ):
         """Simulate the rack for ``duration`` seconds after ``warmup``.
 
@@ -846,7 +881,7 @@ class Rack:
             for server in self.servers:
                 server.fastpath.set_fault_times(times)
         deadline = start + total
-        self._plan_traffic(start, deadline, chunk, target_completions)
+        self._plan_traffic(start, deadline, target_completions)
         if (
             target_completions is None
             and self._arrivals is not None
@@ -859,7 +894,7 @@ class Rack:
             self.sim.run(until=deadline)
         else:
             while self.sim.now < deadline and self.sim.pending:
-                self.sim.run(until=min(deadline, self.sim.now + chunk))
+                self.sim.run(until=min(deadline, self.sim.now + CHECK_CHUNK_S))
                 if (
                     target_completions is not None
                     and self.metrics.count >= target_completions
@@ -883,15 +918,7 @@ class Rack:
     def check_invariants(self) -> None:
         """Queue/doorbell agreement and HyperPlane wake-up soundness."""
         for server in self.servers:
-            server.system.check_invariants()
-            if server.accelerator is not None:
-                server.accelerator.check_no_lost_wakeups(
-                    being_serviced={
-                        core.servicing
-                        for core in server.cores
-                        if core.servicing is not None
-                    }
-                )
+            server.check_invariants()
 
 
 def run_cluster(

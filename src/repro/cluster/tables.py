@@ -1,8 +1,7 @@
 """Interned flow-steering tables shared across homogeneous servers.
 
-Every :class:`~repro.cluster.rack.ClusterServer` (and every
-:class:`~repro.dist.worker.WorkerServer` mirroring one) needs the same
-two lookups on its hot path:
+Every :class:`~repro.cluster.rack.ClusterServer`, on the rack and in a
+dist worker, needs the same two lookups on its hot path:
 
 * the cumulative queue-weight table for its workload shape — previously
   rebuilt per server via ``list(accumulate(shape.weights(n)))`` even

@@ -11,11 +11,12 @@ the fleet layer — the balancer (with the same ``cluster.balancer``
 random stream and ring seed), the arrival process (same
 ``cluster.arrivals``/``cluster.flows`` streams via
 :class:`~repro.dist.replay.PoissonSource`), and the fault schedule (same
-``cluster.faults`` stream) — and advances the fleet in *lockstep
-windows*: all dispatches falling inside a window are steered and sent to
-the owning workers, every worker simulates to the window bound, and the
-reported completions are folded into the fleet metrics in global time
-order before the next window's steering decisions.
+``cluster.faults`` stream, sent to every worker once in ``configure``)
+— and advances the fleet in *lockstep windows*: all dispatches falling
+inside a window are steered and sent to the owning workers, every
+worker simulates to the window bound, and the reported completions are
+folded into the fleet metrics in global time order before the next
+window's steering decisions.
 
 The window length is chosen to divide the rack's target-check chunk
 (2 ms) and not exceed ``failover_delay_s``, which makes the two runtimes
@@ -23,8 +24,8 @@ agree closely: failover re-dispatches always land in a later window
 (exactly as the rack schedules them), measurement stops at identical
 chunk boundaries, and the only cross-window approximation left is that
 the balancer sees a completion up to one window late — invisible to the
-``rss`` policy (placement ignores load) and a documented statistical
-tolerance for the load-aware policies (see docs/distributed.md).
+load-oblivious policies (``rss``, ``round-robin``) and a documented
+statistical tolerance for the load-aware ones (see docs/distributed.md).
 
 Worker failures degrade gracefully: a vanished process (EOF on its
 channel, or a liveness timeout with retries exhausted) marks its servers
@@ -46,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.rack import CHECK_CHUNK_S
 from repro.dist.wire import (
     DEFAULT_BACKOFF_CAP_S,
     DEFAULT_BACKOFF_S,
@@ -57,10 +59,6 @@ from repro.dist.wire import (
 from repro.obs.live import DEFAULT_TELEMETRY_INTERVAL_S
 
 TRANSPORTS = ("unix", "tcp")
-
-# The rack's target-completion check interval; windows subdivide it so
-# both runtimes stop measuring at the same simulated instants.
-CHECK_CHUNK_S = 2e-3
 
 # Balancer policies whose steering decisions cannot depend on completion
 # feedback: placement is a pure function of the flow key (rss) or of the
@@ -466,34 +464,14 @@ def run_cluster_dist(
             rate, config.num_flows, config.flow_skew, config.seed
         )
 
-    # Fault timeline: balancer membership changes stay coordinator-side;
-    # server-state changes become worker directives.
+    # The workers' controllers apply the fault schedule to their own
+    # servers; crash membership changes steer the balancer here.
     balancer_timeline: List[Tuple[float, str, int]] = []
-    directives: List[Tuple[float, int, Dict[str, Any]]] = []
     for event in faults:
-        worker_id = owner[event.server]
         if event.kind == "crash":
-            directives.append((event.time, worker_id, {
-                "kind": "crash", "server": event.server, "time": event.time,
-            }))
-            directives.append((event.end_time, worker_id, {
-                "kind": "restart", "server": event.server,
-                "time": event.end_time,
-            }))
             balancer_timeline.append((event.time, "down", event.server))
             balancer_timeline.append((event.end_time, "up", event.server))
-        else:
-            kind = "slow" if event.kind == "straggler" else "link"
-            directives.append((event.time, worker_id, {
-                "kind": kind, "server": event.server, "time": event.time,
-                "magnitude": event.magnitude,
-            }))
-            directives.append((event.end_time, worker_id, {
-                "kind": kind, "server": event.server, "time": event.end_time,
-                "magnitude": 1.0,
-            }))
     balancer_timeline.sort()
-    directives.sort(key=lambda entry: entry[0])
 
     registry = get_active_registry()
     collect_metrics = registry is not None and registry.enabled
@@ -523,12 +501,14 @@ def run_cluster_dist(
         import dataclasses
 
         config_dict = dataclasses.asdict(config)
+        fault_dicts = [dataclasses.asdict(event) for event in faults]
         configure = {}
         for handle in pool.handles:
             message = {
                 "type": "configure",
                 "config": config_dict,
                 "servers": handle.servers,
+                "faults": fault_dicts,
                 "warmup": warmup,
                 "metrics": collect_metrics,
                 "heartbeat_events": options.heartbeat_events,
@@ -631,7 +611,6 @@ def run_cluster_dist(
         ids = itertools.count(1)
         in_flight: Dict[int, Tuple[int, float, int]] = {}
         balancer_index = 0
-        directive_index = 0
         window_index = 0
         window_start = 0.0
         exchanges = 0
@@ -708,16 +687,11 @@ def run_cluster_dist(
                         redispatch_heap
                         and redispatch_heap[0][0] <= window_end
                     )
-                    and not (
-                        directive_index < len(directives)
-                        and directives[directive_index][0] <= window_end
-                    )
                 ):
                     # Nothing happens fleet-side this window: ship a bare
                     # clock advance. One shared dict serves every worker
                     # (encode-only, never mutated).
-                    empty = {"until": window_end, "dispatches": (),
-                             "faults": ()}
+                    empty = {"until": window_end, "dispatches": ()}
                     for window_list in step_windows.values():
                         window_list.append(empty)
                     batch_bounds.append(window_end)
@@ -774,20 +748,10 @@ def run_cluster_dist(
                         except AllServersDownError:
                             metrics.lost += 1
 
-                window_faults: Dict[int, List[Dict[str, Any]]] = {}
-                while (
-                    directive_index < len(directives)
-                    and directives[directive_index][0] <= window_end
-                ):
-                    _t, worker_id, directive = directives[directive_index]
-                    window_faults.setdefault(worker_id, []).append(directive)
-                    directive_index += 1
-
                 for worker_id, window_list in step_windows.items():
                     window_list.append({
                         "until": window_end,
                         "dispatches": batches[worker_id],
-                        "faults": window_faults.get(worker_id, []),
                     })
                 batch_bounds.append(window_end)
                 window_start = window_end

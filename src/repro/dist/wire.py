@@ -24,14 +24,15 @@ Message shapes (the ``type`` field selects the handler):
 ==============  =============================================================
 ``hello``       worker -> coordinator on connect: worker id, auth token, pid.
 ``configure``   coordinator -> worker: one episode's cluster config, the
-                server indices this worker owns, measurement window, and
-                (for tests) an optional crash-injection point.
+                server indices this worker owns, the run's fault
+                schedule, measurement window, and (for tests) an
+                optional crash-injection point.
 ``ready``       worker -> coordinator: episode built, servers listed.
 ``step``        coordinator -> worker: one *batch* of pre-steered
-                windows — per window the dispatch records, fault
-                directives, and the sim-time bound to advance to;
-                optionally a piggybacked ``collect`` request when the
-                batch is known to be the run's last.
+                windows — per window the dispatch records and the
+                sim-time bound to advance to; optionally a piggybacked
+                ``collect`` request when the batch is known to be the
+                run's last.
 ``step_ok``     worker -> coordinator: per window, the completions,
                 losses, re-dispatch requests, and rejections (plus the
                 ``collected`` payload when collect was piggybacked, and
@@ -92,7 +93,7 @@ _KIND_STEP = 1
 _KIND_STEP_OK = 2
 
 _STEP_HEAD = struct.Struct("!BBQBI")  # magic, kind, seq, flags, n_windows
-_STEP_WINDOW = struct.Struct("!dII")  # until, n_dispatches, fault_blob_len
+_STEP_WINDOW = struct.Struct("!dI")  # until, n_dispatches
 _DISPATCH = struct.Struct("!QdIIB")  # id, t, flow, server, opt flags
 _F64 = struct.Struct("!d")
 _U32 = struct.Struct("!I")
@@ -167,14 +168,7 @@ def _encode_step(message: Dict[str, Any]) -> bytes:
         parts.append(_F64.pack(float(collect["measure_end"])))
     for window in windows:
         dispatches = window.get("dispatches", ())
-        faults = window.get("faults", ())
-        blob = (
-            json.dumps(list(faults), separators=(",", ":")).encode("utf-8")
-            if faults else b""
-        )
-        parts.append(
-            _STEP_WINDOW.pack(float(window["until"]), len(dispatches), len(blob))
-        )
+        parts.append(_STEP_WINDOW.pack(float(window["until"]), len(dispatches)))
         for record in dispatches:
             arr = record.get("arr")
             svc = record.get("svc")
@@ -191,7 +185,6 @@ def _encode_step(message: Dict[str, Any]) -> bytes:
                 parts.append(_F64.pack(arr))
             if svc is not None:
                 parts.append(_F64.pack(svc))
-        parts.append(blob)
     return b"".join(parts)
 
 
@@ -233,7 +226,7 @@ def _encode_step_ok(message: Dict[str, Any]) -> bytes:
         parts.append(blob)
     if telemetry:
         # Telemetry frames are small, structurally rich deltas: an
-        # embedded JSON blob (like faults/collected) keeps the packed
+        # embedded JSON blob (like collected) keeps the packed
         # layout stable as the frame schema evolves.
         blob = json.dumps(list(telemetry), separators=(",", ":")).encode("utf-8")
         parts.append(_U32.pack(len(blob)))
@@ -263,7 +256,7 @@ def _decode_step(body: bytes) -> Dict[str, Any]:
         message["collect"] = {"measure_end": measure_end}
     windows = []
     for _ in range(n_windows):
-        until, n_dispatches, blob_len = _STEP_WINDOW.unpack_from(body, offset)
+        until, n_dispatches = _STEP_WINDOW.unpack_from(body, offset)
         offset += _STEP_WINDOW.size
         dispatches = []
         for _ in range(n_dispatches):
@@ -277,13 +270,7 @@ def _decode_step(body: bytes) -> Dict[str, Any]:
                 (record["svc"],) = _F64.unpack_from(body, offset)
                 offset += _F64.size
             dispatches.append(record)
-        faults = (
-            json.loads(body[offset:offset + blob_len].decode("utf-8"))
-            if blob_len else []
-        )
-        offset += blob_len
-        windows.append({"until": until, "dispatches": dispatches,
-                        "faults": faults})
+        windows.append({"until": until, "dispatches": dispatches})
     message["windows"] = windows
     return message
 

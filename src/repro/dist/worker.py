@@ -4,24 +4,26 @@
 connects back to the coordinator, introduces itself with ``hello``, and
 then serves the wire protocol (:mod:`repro.dist.wire`) until
 ``shutdown``. Each ``configure`` builds one episode: a local
-:class:`~repro.sim.engine.Simulator` hosting this worker's
-:class:`WorkerServer` instances — each an unmodified
-:class:`~repro.sdp.system.DataPlaneSystem` built from the very same
-``ClusterConfig.server_config(index)`` the shared-timeline rack uses, so
-per-server random streams, queue stickiness, and service draws are
-identical to :class:`repro.cluster.rack.ClusterServer`'s.
+:class:`~repro.sim.engine.Simulator` hosting this worker's servers —
+each a :class:`~repro.cluster.rack.ClusterServer`, the rack's own
+server class, built from the same ``ClusterConfig.server_config(index)``
+— and a :class:`~repro.cluster.controller.ClusterController` running
+the run's fault schedule (carried once, in ``configure``) for this
+worker's servers. A server here simulates exactly as on the
+shared-timeline rack; only the reporting of outcomes differs.
 
 Each ``step`` carries a *batch* of lookahead windows. The worker
-executes them strictly in sequence — per window it applies the fault
-directives and dispatch records (drawing the service demand from the
-target server's own stream, in dispatch-time order, exactly as
-``Rack.dispatch`` does), advances the local clock to that window's
-bound in ``max_events`` slices (emitting ``heartbeat`` frames between
-slices so the coordinator can tell a slow batch from a dead process),
-and snapshots the window's outcomes into its own reply block. Scheduling
-window N+1's arrivals only after window N has fully run keeps the event
-heap's same-timestamp insertion order identical to the one-RPC-per-
-window lockstep protocol, which is what preserves bit-exactness under
+executes them strictly in sequence — per window it schedules one event
+per dispatch record at the record's dispatch time, which does what
+``Rack.dispatch`` does there (draw the service demand from the target
+server's own stream, cross the link, schedule the delivery), advances
+the local clock to that window's bound in ``max_events`` slices
+(emitting ``heartbeat`` frames between slices so the coordinator can
+tell a slow batch from a dead process), and snapshots the window's
+outcomes into its own reply block. Scheduling window N+1's arrivals
+only after window N has fully run keeps the event heap's
+same-timestamp insertion order identical to the one-RPC-per-window
+lockstep protocol, which is what preserves bit-exactness under
 lookahead. Requests delivered to a down server, stale-epoch
 completions, and full-queue rejections are reported back per window in
 ``step_ok`` for the coordinator's balancer and failover accounting; a
@@ -41,7 +43,11 @@ import sys
 import traceback
 from typing import Any, Dict, List, Optional
 
+from repro.cluster.controller import ClusterController
+from repro.cluster.faults import FaultEvent
+from repro.cluster.rack import ClusterServer
 from repro.dist.wire import Channel, ChannelClosed
+from repro.queueing.taskqueue import WorkItem
 
 # How many events a worker retires between heartbeats while executing a
 # step. Small enough for sub-second liveness at any realistic rate,
@@ -58,138 +64,69 @@ _EMPTY_BLOCK = {
 }
 
 
-class WorkerServer:
-    """One rack slot hosted in this process (mirror of ``ClusterServer``).
+class WorkerServer(ClusterServer):
+    """A rack server hosted in this process; ``rack`` is the
+    :class:`WorkerHost`.
 
-    The simulation substrate is identical — same derived per-server
-    config and seed, same notification build, same link model, same
-    flow-to-queue stickiness — only the fleet callbacks differ: instead
-    of touching a shared rack, completions/losses/rejections/failovers
-    are buffered on the :class:`WorkerHost` and shipped to the
-    coordinator at the end of the window.
+    It replaces two things of :class:`ClusterServer`: delivery, whose
+    item id is the coordinator's request id, and completion reporting,
+    which buffers outcomes on the host for the coordinator instead of
+    folding them into a shared rack.
     """
 
-    def __init__(self, host: "WorkerHost", index: int):
-        from repro.cluster.link import Link
-        from repro.cluster.tables import cumulative_weight_table
-        from repro.core.dataplane import build_hyperplane
-        from repro.sdp.spinning import build_spinning_cores
-        from repro.sdp.system import DataPlaneSystem, FastpathContext
-
-        cluster_config = host.cluster_config
-        config = cluster_config.server_config(index)
-        self.host = host
-        self.index = index
-        self.config = config
-        self.system = DataPlaneSystem(config, sim=host.sim)
-        # Must precede core construction: single-core spinning clusters
-        # read it to collapse turns (exactly as on the shared-timeline
-        # rack, so schedules and stream draws stay bit-identical across
-        # backends).
-        self.fastpath = self.system.fastpath = FastpathContext()
-        if cluster_config.notification == "spinning":
-            self.accelerator = None
-            self.cores = build_spinning_cores(self.system)
-        else:
-            self.accelerator, self.cores = build_hyperplane(self.system)
-        self.link = Link(
-            cluster_config.link_gbps,
-            cluster_config.link_propagation_s,
-            name=f"server{index}.link",
-        )
-        self.up = True
-        self.epoch = 0
-        self.slow_factor = 1.0
-        self.dispatched = 0
-        self.completed_ok = 0
-        self.lost = 0
-        self.rejected = 0
-        self._weight_table = cumulative_weight_table(
-            self.system.shape.weights(config.num_queues)
-        )
-        self._flow_queue_map = self._weight_table.flow_map(config.seed)
-        self.system.completion_hooks.append(self._on_complete)
-
-    def queue_for_flow(self, flow: int) -> int:
-        qid = self._flow_queue_map.get(flow)
-        if qid is None:
-            qid = self._flow_queue_map[flow] = self._weight_table.compute(
-                self.config.seed, flow
-            )
-        return qid
+    __slots__ = ()
 
     def deliver(
         self, req_id: int, flow: int, arrival_time: float, base_service: float
     ) -> None:
-        """Link arrival of one request (scheduled by the step handler)."""
-        from repro.queueing.taskqueue import WorkItem
-
+        """Link arrival of one request (scheduled by its dispatch)."""
         fastpath = self.fastpath
         if fastpath.pending_deliveries:
             fastpath.pending_deliveries -= 1
         if not self.up:
             # Died while the request was on the wire: the coordinator
             # retries it elsewhere after the failover delay.
-            self.host.report_redispatch(req_id, flow, arrival_time, base_service)
+            self.rack.report_redispatch(req_id, flow, arrival_time, base_service)
             return
-        self.dispatched += 1
-        if self.host.telemetry is not None:
-            self.host.telemetry.dispatches.inc()
         item = WorkItem(
-            item_id=req_id,
-            qid=self.queue_for_flow(flow),
-            arrival_time=arrival_time,
-            service_time=base_service * self.slow_factor,
-            payload=(req_id, flow, self.epoch, base_service),
+            req_id,
+            self.queue_for_flow(flow),
+            arrival_time,
+            base_service * self.slow_factor,
+            (flow, self.epoch, base_service),
         )
-        if not self.system.queues[item.qid].enqueue(item):
-            self.rejected += 1
-            self.host.report_reject(req_id, self.index)
+        if not self._queues[item.qid].enqueue(item):
+            self.rack.report_reject(req_id, self.index)
 
-    def _on_complete(self, item) -> None:
+    def _on_complete(self, item: WorkItem) -> None:
         payload = item.payload
-        if not (isinstance(payload, tuple) and len(payload) == 4):
+        if not (isinstance(payload, tuple) and len(payload) == 3):
             return
-        req_id, _flow, epoch, _base_service = payload
-        if self.up and epoch == self.epoch:
+        if self.up and payload[1] == self.epoch:
             self.completed_ok += 1
-            self.host.report_completion(
-                req_id, self.host.sim.now, item.latency, self.index
+            self.rack.report_completion(
+                item.item_id, item.completion_time, item.latency, self.index
             )
         else:
             self.lost += 1
-            self.host.report_loss(req_id, self.index)
-
-    def crash(self) -> None:
-        """Mark down, bump the epoch, surrender the queued backlog."""
-        if not self.up:
-            return
-        self.up = False
-        self.epoch += 1
-        now = self.host.sim.now
-        for queue in self.system.queues:
-            for item in queue.pending_items():
-                payload = item.payload
-                if not (isinstance(payload, tuple) and len(payload) == 4):
-                    continue
-                req_id, flow, _epoch, base_service = payload
-                self.host.report_redispatch(
-                    req_id, flow, item.arrival_time, base_service, at=now
-                )
-
-    def restart(self) -> None:
-        self.up = True
+            self.rack.report_loss(item.item_id, self.index)
 
 
 class WorkerHost:
-    """Protocol handler: owns the episode state and the reply cache."""
+    """Protocol handler: owns the episode state and the reply cache.
+
+    To its servers and its fault controller it is the rack: it has the
+    ``config``, ``sim`` and ``servers`` (by server index) they read, and
+    the ``crash_server``/``restart_server`` the controller calls.
+    """
 
     def __init__(self, channel: Channel, worker_id: int):
         self.channel = channel
         self.worker_id = worker_id
         self.sim = None
-        self.cluster_config = None
+        self.config = None
         self.servers: Dict[int, WorkerServer] = {}
+        self.controller: Optional[ClusterController] = None
         self.registry = None
         self._registry_cm = None
         self.telemetry = None
@@ -226,17 +163,40 @@ class WorkerHost:
             self.telemetry.rejects.inc()
 
     def report_redispatch(
-        self,
-        req_id: int,
-        flow: int,
-        arrival_time: float,
-        base_service: float,
-        at: Optional[float] = None,
+        self, req_id: int, flow: int, arrival_time: float, base_service: float
     ) -> None:
-        when = self.sim.now if at is None else at
-        self._redispatches.append([req_id, when, flow, arrival_time, base_service])
+        self._redispatches.append(
+            [req_id, self.sim.now, flow, arrival_time, base_service]
+        )
         if self.telemetry is not None:
             self.telemetry.redispatches.inc()
+
+    def _record_fault(self, event: FaultEvent, end: bool) -> None:
+        fields = {
+            "server": event.server,
+            "t": self.sim.now,
+            "magnitude": event.magnitude,
+        }
+        if end:
+            fields["end"] = True
+        self.telemetry.record_event(f"fault:{event.kind}", **fields)
+
+    # -- the controller's rack interface -------------------------------------
+
+    def crash_server(self, index: int) -> None:
+        """Mark a server down and surrender its queued backlog to the
+        coordinator, which re-dispatches it after the failover delay."""
+        server = self.servers[index]
+        if not server.up:
+            return
+        for item in server.fail():
+            flow, _epoch, base_service = item.payload
+            self.report_redispatch(
+                item.item_id, flow, item.arrival_time, base_service
+            )
+
+    def restart_server(self, index: int) -> None:
+        self.servers[index].up = True
 
     # -- handlers ------------------------------------------------------------
 
@@ -249,7 +209,7 @@ class WorkerHost:
         if self._registry_cm is not None:
             self._registry_cm.__exit__(None, None, None)
             self._registry_cm = None
-        self.cluster_config = ClusterConfig(**msg["config"])
+        self.config = ClusterConfig(**msg["config"])
         self.registry = MetricsRegistry(enabled=bool(msg.get("metrics", False)))
         self._registry_cm = active_registry(self.registry)
         self._registry_cm.__enter__()
@@ -287,6 +247,23 @@ class WorkerHost:
             )
         else:
             self.telemetry = None
+        # The run's fault schedule, as Rack.run installs it: every
+        # server's collapsed turns stop at every apply/revert instant,
+        # and the controller, started before any dispatch is scheduled,
+        # fires each fault ahead of run-time events at the same instant
+        # (the order FastpathContext.next_boundary_after assumes).
+        events = [FaultEvent(**fault) for fault in msg["faults"]]
+        times = sorted(
+            t for event in events for t in (event.time, event.end_time)
+        )
+        for server in self.servers.values():
+            server.fastpath.set_fault_times(times)
+        self.controller = ClusterController(
+            self, [event for event in events if event.server in self.servers]
+        )
+        if self.telemetry is not None:
+            self.controller.fault_hooks.append(self._record_fault)
+        self.controller.start()
         self._crash_at = msg.get("crash_at")
         if self._crash_at is not None:
             # Fault-injection hook for tests: die mid-step, abruptly,
@@ -313,66 +290,53 @@ class WorkerHost:
             )
         )
 
-    def _apply_fault(self, directive: Dict[str, Any]) -> None:
-        kind = directive["kind"]
-        server = self.servers[int(directive["server"])]
-        if kind == "crash":
-            server.crash()
-        elif kind == "restart":
-            server.restart()
-        elif kind == "slow":
-            server.slow_factor = float(directive["magnitude"])
-        elif kind == "link":
-            server.link.degrade = float(directive["magnitude"])
-        else:
-            raise ValueError(f"unknown fault directive kind {kind!r}")
+    def _dispatch(
+        self,
+        server: WorkerServer,
+        req_id: int,
+        flow: int,
+        arrival_time: float,
+        base_service: Optional[float],
+    ) -> None:
+        """What ``Rack.dispatch`` does once the balancer picked
+        ``server``, at the record's dispatch time: draw the service
+        demand from the server's own stream, cross its link as the link
+        stands now, and schedule the delivery."""
+        if base_service is None:
+            base_service = server.system.service_model()
+        delay = server.link.transfer_delay(self.sim.now, self.config.request_bytes)
+        server.fastpath.pending_deliveries += 1
+        self.sim.schedule(
+            delay, server.deliver, req_id, flow, arrival_time, base_service
+        )
+        server.dispatched += 1
         if self.telemetry is not None:
-            fields = {"server": int(directive["server"]), "t": self.sim.now}
-            if "magnitude" in directive:
-                fields["magnitude"] = directive["magnitude"]
-            self.telemetry.record_event(f"fault:{kind}", **fields)
+            self.telemetry.dispatches.inc()
 
     def _run_window(self, window: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one window's faults and dispatches, run to its bound,
-        and return the window's outcome block."""
+        """Schedule one window's dispatches, run to its bound, and
+        return the window's outcome block."""
         sim = self.sim
         until = float(window["until"])
-        dispatches = window.get("dispatches")
-        faults = window.get("faults")
-        if faults:
-            times = []
-            for directive in faults:
-                when = float(directive["time"])
-                times.append(when)
-                sim.schedule_at(when, self._apply_fault, directive)
-            # Fault boundaries gate the fast cores' collapsed turns:
-            # conservatively give every server this window's full set.
-            times.sort()
-            for server in self.servers.values():
-                server.fastpath.set_fault_times(times)
+        dispatches = window["dispatches"]
         if dispatches:
-            # Dispatch-time order per server == the rack's per-server
-            # order, so service-stream draws and link FIFO state match
-            # exactly.
-            records = sorted(dispatches, key=lambda r: (r["t"], r["id"]))
-            request_bytes = self.cluster_config.request_bytes
+            # The coordinator lists records in its steering order (by
+            # time, then id); the heap keeps that order among equal
+            # times, so service-stream draws and link FIFO state follow
+            # the rack's dispatch order.
             schedule_at = sim.schedule_at
+            dispatch = self._dispatch
             servers = self.servers
-            for record in records:
-                server = servers[record["server"]]
-                base_service = record.get("svc")
-                if base_service is None:
-                    base_service = server.system.service_model()
+            for record in dispatches:
                 t = record["t"]
-                delay = server.link.transfer_delay(t, request_bytes)
-                server.fastpath.pending_deliveries += 1
                 schedule_at(
-                    t + delay,
-                    server.deliver,
+                    t,
+                    dispatch,
+                    servers[record["server"]],
                     record["id"],
                     record["flow"],
                     record.get("arr", t),
-                    base_service,
+                    record.get("svc"),
                 )
         # Advance to the bound in slices, heartbeating between them.
         telemetry = self.telemetry
@@ -440,22 +404,16 @@ class WorkerHost:
         for index, server in sorted(self.servers.items()):
             server.system.metrics.measure_end = measure_end
             try:
-                server.system.check_invariants()
-                if server.accelerator is not None:
-                    server.accelerator.check_no_lost_wakeups(
-                        being_serviced={
-                            core.servicing
-                            for core in server.cores
-                            if core.servicing is not None
-                        }
-                    )
+                server.check_invariants()
             except Exception as exc:  # surfaced, not fatal: partial data
                 invariants = f"server {index}: {exc}"
             per_server[str(index)] = {
                 "dispatched": server.dispatched,
                 "completed_ok": server.completed_ok,
                 "lost": server.lost,
-                "rejected": server.rejected,
+                "rejected": sum(
+                    queue.stats.dropped for queue in server.system.queues
+                ),
                 "up": server.up,
                 "epoch": server.epoch,
             }

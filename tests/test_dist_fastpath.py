@@ -174,19 +174,7 @@ def fuzz_step(rng):
             if rng.random() < 0.5:
                 record["svc"] = rng.random() * 1e-5
             dispatches.append(record)
-        faults = []
-        if rng.random() < 0.3:
-            faults.append({
-                "kind": rng.choice(["crash", "restart", "slow", "link"]),
-                "server": rng.randrange(8),
-                "time": rng.random(),
-                "magnitude": rng.random() * 4,
-            })
-        windows.append({
-            "until": rng.random() * 10,
-            "dispatches": dispatches,
-            "faults": faults,
-        })
+        windows.append({"until": rng.random() * 10, "dispatches": dispatches})
     message = {"type": "step", "seq": rng.randrange(2 ** 31), "windows": windows}
     if rng.random() < 0.3:
         message["collect"] = {"measure_end": rng.random() * 10}

@@ -84,6 +84,28 @@ def test_modelled_crash_profile_matches_rack_redispatch():
     assert dist.partial is False
 
 
+# Load-oblivious placement through every fault profile: the workers
+# build the rack's own servers and run the rack's fault controller, so
+# each case is bit-exact, link-degrade included.
+FAULT_MATRIX = [
+    ("hyperplane", balancer, fault)
+    for balancer in ("rss", "round-robin")
+    for fault in ("crash", "straggler", "link-degrade")
+] + [("spinning", "rss", "link-degrade")]
+
+
+@pytest.mark.parametrize("notification,balancer,fault", FAULT_MATRIX)
+def test_fault_profiles_are_bit_exact_with_the_rack(notification, balancer, fault):
+    config = small_config(
+        notification=notification, balancer=balancer, fault_profile=fault
+    )
+    rack, dist = run_both(config, workers=2)
+    assert dist.metrics.fingerprint() == rack.metrics.fingerprint()
+    assert dist.metrics.dispatched == rack.metrics.dispatched
+    assert dist.metrics.rejected == rack.metrics.rejected
+    assert dist.partial is False
+
+
 def test_tcp_transport_matches_unix():
     config = small_config(seed=3)
     unix = run_cluster_dist(

@@ -123,6 +123,44 @@ def test_worker_crash_without_bus_marks_no_telemetry():
     assert "flight_recorder" not in run.info
 
 
+# -- fault events --------------------------------------------------------------
+
+
+def test_fault_events_carry_the_profile_kind_and_window():
+    from repro.cluster.config import STREAM_FAULTS
+    from repro.cluster.faults import fault_schedule
+    from repro.sim.rng import RandomStreams
+
+    config = small_config(fault_profile="straggler")
+    (straggler,) = fault_schedule(
+        "straggler", config.num_servers, WARMUP + DURATION,
+        RandomStreams(config.seed).stream(STREAM_FAULTS),
+    )
+    bus = TelemetryBus()
+    run_cluster_dist(
+        config, load=LOAD, duration=DURATION, warmup=WARMUP,
+        options=DistOptions(workers=2), telemetry=bus,
+    )
+    faults = [e for e in bus.events if e["kind"].startswith("fault:")]
+    assert faults == [
+        {
+            "kind": "fault:straggler",
+            "server": straggler.server,
+            "t": straggler.time,
+            "magnitude": straggler.magnitude,
+            "worker": straggler.server % 2,
+        },
+        {
+            "kind": "fault:straggler",
+            "server": straggler.server,
+            "t": straggler.end_time,
+            "magnitude": straggler.magnitude,
+            "end": True,
+            "worker": straggler.server % 2,
+        },
+    ]
+
+
 # -- heartbeat payload passthrough (regression) ------------------------------
 
 

@@ -173,3 +173,75 @@ def test_dist_has_one_retry_loop():
         for caller in set(_functions_calling(path, "backoff_delay"))
     )
     assert callers == ["wire.py:await_reply"]
+
+
+# -- the dist worker runs the rack's own server and fault controller ------------
+
+
+def test_dist_builds_no_server_of_its_own():
+    # Servers, their links and their cores come from ClusterServer.
+    package = Path(repro.__file__).parent / "dist"
+    offenders = sorted(
+        f"{caller} calls {callee}"
+        for path in package.rglob("*.py")
+        for callee in ("Link", "build_hyperplane", "build_spinning_cores")
+        for caller in set(_functions_calling(path, callee))
+    )
+    assert offenders == []
+
+
+def test_worker_server_replaces_only_delivery_and_completion_reporting():
+    from repro.cluster.rack import ClusterServer
+    from repro.dist.worker import WorkerServer
+
+    assert WorkerServer.__bases__ == (ClusterServer,)
+    own = {name for name in vars(WorkerServer) if not name.startswith("__")}
+    assert own == {"deliver", "_on_complete"}
+
+
+def _fault_state_assignments(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    constructors = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in constructors:
+            continue
+        for target in _assigned_targets(node):
+            if isinstance(target, ast.Attribute) and target.attr in {
+                "slow_factor",
+                "degrade",
+            }:
+                yield f"line {target.lineno}: assigns .{target.attr}"
+
+
+def test_only_the_controller_applies_faults():
+    package = Path(repro.__file__).parent
+    offenders = sorted(
+        f"{path.relative_to(package)} {found}"
+        for path in package.rglob("*.py")
+        if path.relative_to(package) != Path("cluster", "controller.py")
+        for found in set(_fault_state_assignments(path))
+    )
+    assert offenders == []
+
+
+def test_step_windows_carry_no_fault_directives():
+    from repro.dist.wire import decode_body, encode_frame
+
+    step = {
+        "type": "step",
+        "seq": 1,
+        "windows": [
+            {"until": 1e-3, "dispatches": []},
+            {"until": 2e-3, "dispatches": [{"id": 1, "t": 1.5e-3, "flow": 3, "server": 0}]},
+        ],
+    }
+    decoded = decode_body(encode_frame(step)[4:])
+    assert [sorted(window) for window in decoded["windows"]] == [
+        ["dispatches", "until"],
+        ["dispatches", "until"],
+    ]
