@@ -270,7 +270,8 @@ class ClusterServer:
             return
         rack = self.rack
         now = item.completion_time
-        latency = now - item.arrival_time
+        # The float DataPlaneSystem.complete just built and stored.
+        latency = self.system.last_latency
         index = self.index
         # LoadBalancer.complete: clamped decrement so stale completions
         # after a crash cannot go negative.

@@ -87,6 +87,7 @@ class HyperPlaneAccelerator:
         self.work_stealing_enabled = False
         self.reallocations = 0
         self.spurious_injected = 0
+        self._spurious_rate = config.spurious_wake_rate
         self._spurious_rng = system.streams.stream("spurious-wakes")
 
         self._register_doorbells()
@@ -130,11 +131,15 @@ class HyperPlaneAccelerator:
     # -- snoop path --------------------------------------------------------------
 
     def _on_doorbell_write(self, doorbell: Doorbell) -> None:
-        tag = line_address(doorbell.address)
+        # The tag QWAIT-ADD registered; a removed queue's line is no
+        # longer monitored, so its write stays a snoop miss.
+        tag = self._tag_of_qid.get(doorbell.qid)
+        if tag is None:
+            tag = line_address(doorbell.address)
         qid = self.monitoring.snoop_write(tag)
         if qid is not None:
             self._activate(qid)
-        rate = self.system.config.spurious_wake_rate
+        rate = self._spurious_rate
         if rate and self._spurious_rng.random() < rate:
             self._inject_spurious_wake()
 

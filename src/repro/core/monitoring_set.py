@@ -153,7 +153,9 @@ class CuckooMonitoringSet:
 
     def snoop_write(self, tag: int) -> Optional[int]:
         """A write transaction hit this line: if armed, disarm + return QID."""
-        entry = self.lookup(tag)
+        # lookup(), inlined: every doorbell write snoops.
+        location = self._location.get(tag)
+        entry = None if location is None else self._table[location[0]][location[1]]
         if entry is not None and entry.armed:
             entry.armed = False
             self.snoop_hits += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Sequence
 
-from repro.core.ppa import ppa_select
+from repro.core.ppa import first_ready_at_or_after
 
 
 class ServicePolicy(abc.ABC):
@@ -42,13 +42,12 @@ class RoundRobinPolicy(ServicePolicy):
         self._priority = 1  # one-hot, bit 0 initially
 
     def take(self, ready_mask: int) -> Optional[int]:
-        select = ppa_select(ready_mask, self._priority, self.width)
+        select = first_ready_at_or_after(ready_mask, self._priority)
         if select == 0:
             return None
         qid = select.bit_length() - 1
         # Rotate: highest priority moves to the bit after the selected one.
-        next_bit = (qid + 1) % self.width
-        self._priority = 1 << next_bit
+        self._priority = 1 << ((qid + 1) % self.width)
         return qid
 
     def reset(self) -> None:
@@ -92,7 +91,7 @@ class WeightedRoundRobinPolicy(ServicePolicy):
             # Current queue still holds priority and still has work.
             self._counter -= 1
             return current
-        select = ppa_select(ready_mask, self._priority, self.width)
+        select = first_ready_at_or_after(ready_mask, self._priority)
         if select == 0:
             # Nothing ready: drop the hold so service restarts cleanly.
             self._current = None
@@ -114,7 +113,7 @@ class StrictPriorityPolicy(ServicePolicy):
     """Fixed priority "10...0": lower-numbered QIDs always win."""
 
     def take(self, ready_mask: int) -> Optional[int]:
-        select = ppa_select(ready_mask, 1, self.width)
+        select = first_ready_at_or_after(ready_mask, 1)
         if select == 0:
             return None
         return select.bit_length() - 1

@@ -116,6 +116,20 @@ def brent_kung_ppa(ready: int, priority: int, width: int) -> Tuple[int, int]:
     return select, stages + rotate_and_mask_stages
 
 
+def first_ready_at_or_after(ready: int, priority: int) -> int:
+    """:func:`ppa_select` without its input checks, for the service
+    policies, whose masks always fit their width: the one-hot first
+    ready bit at or after ``priority``, wrapping around (0 if none)."""
+    if ready == 0:
+        return 0
+    start = priority.bit_length() - 1 if priority else 0
+    ahead = ready >> start
+    if ahead:
+        return (ahead & -ahead) << start
+    behind = ready & ((1 << start) - 1)
+    return behind & -behind
+
+
 def ppa_select(ready: int, priority: int, width: int) -> int:
     """Fast-path selection used by the simulation (no delay modelling).
 
@@ -123,13 +137,4 @@ def ppa_select(ready: int, priority: int, width: int) -> int:
     ``tests/test_core_ppa.py`` pin all three to identical selections.
     """
     _check_inputs(ready, priority, width)
-    if ready == 0:
-        return 0
-    if priority == 0:
-        priority = 1
-    start = priority.bit_length() - 1
-    ahead = ready >> start
-    if ahead:
-        return 1 << (start + ((ahead & -ahead).bit_length() - 1))
-    behind = ready & ((1 << start) - 1)
-    return behind & -behind
+    return first_ready_at_or_after(ready, priority)

@@ -77,13 +77,9 @@ class ReadySet(abc.ABC):
         """Number of ready (not necessarily enabled) QIDs."""
         return self.ready_mask.bit_count()
 
-    @property
-    def selectable_mask(self) -> int:
-        return self.ready_mask & self.enabled_mask
-
     def select_and_take(self) -> Optional[int]:
         """Return the next QID per the policy, consuming its ready bit."""
-        qid = self.policy.take(self.selectable_mask)
+        qid = self.policy.take(self.ready_mask & self.enabled_mask)
         if qid is None:
             return None
         self.ready_mask &= ~(1 << qid)

@@ -105,7 +105,10 @@ class WorkerServer(ClusterServer):
         if self.up and payload[1] == self.epoch:
             self.completed_ok += 1
             self.rack.report_completion(
-                item.item_id, item.completion_time, item.latency, self.index
+                item.item_id,
+                item.completion_time,
+                self.system.last_latency,
+                self.index,
             )
         else:
             self.lost += 1

@@ -203,8 +203,11 @@ class DataPlaneSystem:
         self.on_dequeue_hooks: List[Callable[[int], None]] = []
         # Completion subscribers, run in registration order after the
         # item is recorded: span probes, fleet accounting, the tenant
-        # and transmit sides, functional payloads.
+        # and transmit sides, functional payloads. While they run,
+        # ``last_latency`` is the completing item's latency: the float
+        # the recorder stored, so a hook that stores it again shares it.
         self.completion_hooks: List[Callable[[WorkItem], None]] = []
+        self.last_latency = 0.0
         self.metrics = RunMetrics(
             latency=LatencyRecorder(),
             activities=[CoreActivity() for _ in range(config.num_cores)],
@@ -262,6 +265,7 @@ class DataPlaneSystem:
         recorder = metrics.latency
         if now >= recorder.warmup_time:
             recorder._samples.append(latency)
+        self.last_latency = latency
         hooks = self.completion_hooks
         if hooks:
             for hook in hooks:

@@ -23,6 +23,13 @@ ServiceSampler = Callable[[], float]
 class OpenLoopGenerator:
     """A producer that enqueues Poisson (or other) arrivals across queues.
 
+    The producer is a chain of plain callbacks, one heap event per
+    arrival, not a simulator process. Its first callback takes the slot
+    a process spawn would (an event at the construction instant, even
+    when ``max_items`` is 0), and it draws each interarrival after the
+    previous enqueue, so its schedule and stream draws are those of the
+    generator loop it replaced.
+
     Parameters
     ----------
     sim, queues:
@@ -58,21 +65,25 @@ class OpenLoopGenerator:
         self._draw_queue = shape.sampler(len(self.queues), rng)
         self.generated = 0
         self.dropped = 0
-        self.process = sim.spawn(self._run(), name="open-loop-generator")
+        sim.schedule(0.0, self._next)
 
-    def _run(self):
-        while self.max_items is None or self.generated < self.max_items:
-            yield self.arrivals.next_interarrival()
-            qid = self._draw_queue()
-            item = WorkItem(
-                item_id=self.generated,
-                qid=qid,
-                arrival_time=self.sim.now,
-                service_time=self.service_sampler(),
-            )
-            self.generated += 1
-            if not self.queues[qid].enqueue(item):
-                self.dropped += 1
+    def _next(self) -> None:
+        """Schedule the next arrival, unless ``max_items`` are out."""
+        if self.max_items is None or self.generated < self.max_items:
+            self.sim.schedule(self.arrivals.next_interarrival(), self._arrive)
+
+    def _arrive(self) -> None:
+        qid = self._draw_queue()
+        item = WorkItem(
+            item_id=self.generated,
+            qid=qid,
+            arrival_time=self.sim._now,
+            service_time=self.service_sampler(),
+        )
+        self.generated += 1
+        if not self.queues[qid].enqueue(item):
+            self.dropped += 1
+        self._next()
 
 
 class ClosedLoopRefill:
@@ -101,6 +112,7 @@ class ClosedLoopRefill:
         self.service_sampler = service_sampler
         self.depth = depth
         self.hot_ids: List[int] = shape.hot_queue_ids(len(self.queues))
+        self._hot_set = frozenset(self.hot_ids)
         self._next_id = 0
         self.generated = 0
         for qid in self.hot_ids:
@@ -123,11 +135,3 @@ class ClosedLoopRefill:
         """Replace a consumed item on a hot queue (cold queues stay cold)."""
         if qid in self._hot_set:
             self._enqueue(qid)
-
-    @property
-    def _hot_set(self):
-        cached = getattr(self, "_hot_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.hot_ids)
-            self._hot_set_cache = cached
-        return cached

@@ -8,8 +8,9 @@ behaviour:
   MESI directory behind ``repro.mem``;
 - :mod:`tests.oracles.rack` — the per-request rack hot path behind
   ``repro.cluster.rack``;
-- :mod:`tests.oracles.cores` — the generator spinning and MWAIT loops
-  behind the callback cores of ``repro.sdp``.
+- :mod:`tests.oracles.cores` — the generator spinning, MWAIT and
+  HyperPlane loops behind the callback cores of ``repro.sdp`` and
+  ``repro.core``.
 
 They live outside ``src/`` because nothing in the package uses them.
 Import them from the checkout root (pytest and

@@ -9,8 +9,9 @@ optimised in place is frozen here too: the loop-form P² estimator, the
 original ``ClusterMetrics`` / ``LatencyRecorder`` recording chain, the
 unslotted ``WorkItem`` / ``TaskQueue``, and the original
 ``DataPlaneSystem`` notify/complete plumbing, all copied verbatim from
-the pre-fast-path tree, and spinning servers run the generator cores
-of :mod:`tests.oracles.cores`, not the package's callback core. The
+the pre-fast-path tree, and spinning and HyperPlane servers run the
+generator cores of :mod:`tests.oracles.cores`, not the package's
+callback cores. The
 oracle therefore shares *no* hot-path code with the fast rack beyond
 the simulator core and the workload/memory models — a
 micro-optimisation that changes any observable bit shows up as a
@@ -55,7 +56,6 @@ from repro.cluster.controller import ClusterController
 from repro.cluster.faults import fault_schedule
 from repro.cluster.link import Link
 from repro.cluster.rack import TWO_POW_64, flow_weights
-from repro.core.dataplane import build_hyperplane
 from repro.mem.address import DoorbellRegion
 from repro.queueing.doorbell import Doorbell
 from repro.queueing.locks import SpinLock
@@ -74,7 +74,10 @@ from repro.traffic.arrivals import PoissonArrivals, load_to_rate
 from repro.traffic.generator import ClosedLoopRefill, OpenLoopGenerator
 from repro.traffic.shapes import shape_by_name
 from repro.workloads.service import ServiceTimeModel
-from tests.oracles.cores import build_reference_spinning_cores
+from tests.oracles.cores import (
+    build_reference_hyperplane,
+    build_reference_spinning_cores,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +562,7 @@ class ReferenceClusterServer:
             self.accelerator = None
             self.cores = build_reference_spinning_cores(self.system)
         else:
-            self.accelerator, self.cores = build_hyperplane(self.system)
+            self.accelerator, self.cores = build_reference_hyperplane(self.system)
         self.link = Link(
             rack.config.link_gbps,
             rack.config.link_propagation_s,

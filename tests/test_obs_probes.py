@@ -7,7 +7,7 @@ from repro.mem.costmodel import empty_poll_cost_curve
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import active_registry
 from repro.sdp.config import SDPConfig
-from repro.sdp.runner import run_spinning
+from repro.sdp.runner import run_interrupts, run_spinning
 
 
 def small_config(seed: int = 3) -> SDPConfig:
@@ -53,8 +53,15 @@ def test_per_core_occupancy_gauges():
 def test_sim_engine_gauges():
     data = instrumented_run().as_dict()
     assert data["sim.events_dispatched"]["value"] > 0
-    assert data["sim.process_wakes"]["value"] > 0
     assert data["sim.now_seconds"]["value"] > 0.0
+    # The spinning cores and the open-loop producer are callbacks; the
+    # interrupt cores are still generator processes.
+    registry = MetricsRegistry(enabled=True)
+    with active_registry(registry):
+        run_interrupts(
+            small_config(), load=0.5, target_completions=200, max_seconds=0.05
+        )
+    assert registry.as_dict()["sim.process_wakes"]["value"] > 0
 
 
 def test_queue_depth_timeline_is_time_ordered():

@@ -57,24 +57,67 @@ def test_mwait_core_is_a_spinning_core():
     assert issubclass(MwaitCore, SpinningCore)
 
 
-@pytest.mark.parametrize("runner", ["run_spinning", "run_mwait"])
-def test_closed_loop_core_runs_spawn_no_process(runner):
-    # A closed loop refills from dequeue hooks, so no producer process
-    # runs either: any generator resumption would come from a core.
+RUNNER_MODULES = {
+    "run_spinning": "repro.sdp.runner",
+    "run_mwait": "repro.sdp.runner",
+    "run_hyperplane": "repro.core.runner",
+}
+
+
+def _process_wakes(runner, **traffic):
+    """Generator-process resumptions of one run under an enabled registry."""
     from repro.obs.registry import MetricsRegistry
     from repro.obs.runtime import active_registry
-    from repro.sdp import SDPConfig, runner as runners
+    from repro.sdp import SDPConfig
 
     registry = MetricsRegistry(enabled=True)
     with active_registry(registry):
-        metrics = getattr(runners, runner)(
+        metrics = getattr(importlib.import_module(RUNNER_MODULES[runner]), runner)(
             SDPConfig(num_queues=16, num_cores=2, cluster_cores=1),
-            closed_loop=True,
             target_completions=200,
             max_seconds=0.01,
+            **traffic,
         )
     assert metrics.completed > 0
-    assert registry.as_dict()["sim.process_wakes"]["value"] == 0
+    return registry.as_dict()["sim.process_wakes"]["value"]
+
+
+@pytest.mark.parametrize("runner", ["run_spinning", "run_mwait", "run_hyperplane"])
+def test_closed_loop_core_runs_spawn_no_process(runner):
+    # A closed loop refills from dequeue hooks, so no producer process
+    # runs either: any generator resumption would come from a core.
+    assert _process_wakes(runner, closed_loop=True) == 0
+
+
+@pytest.mark.parametrize("runner", ["run_spinning", "run_hyperplane"])
+def test_open_loop_runs_spawn_no_process(runner):
+    # The open-loop producer is a callback chain too.
+    assert _process_wakes(runner, load=0.5) == 0
+
+
+def test_hyperplane_core_is_not_a_generator():
+    path = Path(repro.__file__).parent / "core" / "dataplane.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    yields = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Yield, ast.YieldFrom))
+    ]
+    assert yields == []
+
+
+def test_reference_rack_runs_the_generator_hyperplane_core():
+    # The rack fuzz compares the package's HyperPlane core against the
+    # frozen generator loop, not against itself.
+    from repro.cluster.config import ClusterConfig
+    from tests.oracles.cores import ReferenceHyperPlaneCore
+    from tests.oracles.rack import ReferenceRack
+
+    rack = ReferenceRack(
+        ClusterConfig(num_servers=2, notification="hyperplane", queues_per_server=8)
+    )
+    cores = [core for server in rack.servers for core in server.cores]
+    assert cores and {type(core) for core in cores} == {ReferenceHyperPlaneCore}
 
 
 # -- components are observed through hook lists --------------------------------
