@@ -288,7 +288,9 @@ def vec_fig8_grid(quick: bool) -> Dict[str, float]:
     mtps = peak_grid(compiled, seed=42)
     vec_wall = time.perf_counter() - t0
 
-    event_grid = grid[:: len(grid) // 6] if quick else grid
+    # The grid alternates spinning and HyperPlane points; a stride of 7
+    # samples both mechanisms at all three queue counts (7 points).
+    event_grid = grid[::7] if quick else grid
     target = 1500
     t0 = time.perf_counter()
     for workload, shape, count, mechanism in event_grid:

@@ -30,6 +30,13 @@ from repro.sim.rng import derive_seed
 
 POLICIES = ("rss", "round-robin", "least-loaded", "p2c")
 
+# Policies whose placement ignores load: a pure function of the flow
+# key (rss) or of the dispatch order (round-robin), never of completion
+# feedback or balancer-stream draws. The rack sweeps their traffic in
+# batches, and the dist coordinator steers them a whole check chunk
+# ahead; both stay exact.
+LOAD_OBLIVIOUS_POLICIES = ("rss", "round-robin")
+
 
 class AllServersDownError(RuntimeError):
     """Raised when a dispatch finds no live server."""

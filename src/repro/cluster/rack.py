@@ -3,11 +3,13 @@
 :class:`Rack` composes existing single-server substrates — each
 :class:`ClusterServer` wraps an unmodified
 :class:`~repro.sdp.system.DataPlaneSystem` running spinning or
-HyperPlane cores — and adds the fleet layer on top: a client flow
-population, the front-end :class:`~repro.cluster.balancer.LoadBalancer`,
-per-server access :class:`~repro.cluster.link.Link` delays, the fault
-:class:`~repro.cluster.controller.ClusterController`, and client-visible
-:class:`~repro.cluster.metrics.ClusterMetrics`.
+HyperPlane cores — and adds the fleet layer on top: the client
+population and the fleet front end of :mod:`repro.cluster.frontend`
+(balancer, crash membership, failover re-dispatch, client-visible
+:class:`~repro.cluster.metrics.ClusterMetrics`), per-server access
+:class:`~repro.cluster.link.Link` delays, and the fault
+:class:`~repro.cluster.controller.ClusterController`. The dist
+coordinator drives the same front end on a simulator of its own.
 
 Request lifecycle: a cluster arrival draws a flow, the balancer steers
 it to a live server (sticky per flow), the request crosses the server's
@@ -37,7 +39,8 @@ duration-bounded runs (no ``target_completions`` / ``max_items`` early
 exit), deterministic steering (rss / round-robin — p2c draws from the
 balancer stream per request and stays per-arrival), no crash faults
 (crash re-steering depends on in-window delivery state), and no dispatch
-or delivery hook (a sweep bypasses :meth:`Rack.dispatch` and
+or delivery hook (a sweep bypasses the front end's
+:meth:`~repro.cluster.frontend.FrontEnd.dispatch` and
 :meth:`ClusterServer.enqueue`, where those hooks run; the span probe
 subscribes to both). Windows split at every fault apply/revert boundary
 so straggler/degrade magnitude changes land between sweeps, exactly
@@ -59,22 +62,14 @@ fleet accounting subscribes there when it builds the server).
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 from math import log
 from typing import Callable, List, Optional
 
-from repro.cluster.balancer import AllServersDownError, LoadBalancer
-from repro.cluster.config import (
-    STREAM_ARRIVALS,
-    STREAM_BALANCER,
-    STREAM_FAULTS,
-    STREAM_FLOWS,
-    ClusterConfig,
-)
+from repro.cluster.balancer import LOAD_OBLIVIOUS_POLICIES
+from repro.cluster.config import ClusterConfig
 from repro.cluster.controller import ClusterController
-from repro.cluster.faults import fault_schedule
+from repro.cluster.frontend import ClientPopulation, FrontEnd, flow_weights, offered_rate
 from repro.cluster.link import Link
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.tables import TWO_POW_64, cumulative_weight_table
 from repro.core.dataplane import build_hyperplane
 from repro.obs.runtime import get_active_registry
@@ -82,8 +77,7 @@ from repro.queueing.taskqueue import WorkItem
 from repro.sdp.spinning import SpinningCore, build_spinning_cores
 from repro.sdp.system import DataPlaneSystem, FastpathContext
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams, derive_seed
-from repro.traffic.arrivals import PoissonArrivals, load_to_rate
+from repro.sim.rng import RandomStreams
 
 __all__ = [
     "CHECK_CHUNK_S",
@@ -99,26 +93,6 @@ __all__ = [
 # windows divide it, so both runtimes stop measuring at the same
 # instants.
 CHECK_CHUNK_S = 2e-3
-
-# Balancer policies whose steering is deterministic given the live set:
-# eligible for the batched delivery sweep. p2c and least-loaded read
-# per-request state (balancer stream draws / live outstanding counts
-# vs. in-flight completions), so they stay on the per-arrival path.
-_SWEEPABLE_POLICIES = frozenset({"rss", "round-robin"})
-
-
-def flow_weights(num_flows: int, skew: float) -> List[float]:
-    """Zipf-like per-flow traffic weights: weight_i = (i+1) ** -skew.
-
-    ``skew=0`` is uniform; larger values concentrate traffic on the
-    lowest-numbered flows, which is how fleet-level imbalance is
-    injected (hashing a skewed population concentrates load).
-    """
-    if num_flows <= 0:
-        raise ValueError("need at least one flow")
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
-    return [(i + 1) ** -skew for i in range(num_flows)]
 
 
 class ClusterServer:
@@ -346,24 +320,18 @@ class Rack:
         self.config = config
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
-        self.metrics = ClusterMetrics(config.num_servers)
-        self.dispatch_hooks: List[Callable[[int, float, int], None]] = []
+        # The fleet front end on the shared timeline; its sink crosses
+        # the chosen server's link.
+        self.front_end = FrontEnd(config, self.sim, self.streams, self._cross_link)
+        self.balancer = self.front_end.balancer
+        self.metrics = self.front_end.metrics
+        self.dispatch_hooks = self.front_end.dispatch_hooks
         self.delivery_hooks: List[Callable[[int, float, bool], None]] = []
-        self.balancer = LoadBalancer(
-            config.balancer,
-            config.num_servers,
-            rng=self.streams.stream(STREAM_BALANCER),
-            seed=derive_seed(config.seed, "cluster.ring"),
-        )
         self.servers = [
             ClusterServer(self, index) for index in range(config.num_servers)
         ]
         self.controller: Optional[ClusterController] = None
-        self._cumulative_flow_weights = list(
-            accumulate(flow_weights(config.num_flows, config.flow_skew))
-        )
-        self._flow_rng = self.streams.stream(STREAM_FLOWS)
-        self._arrivals: Optional[PoissonArrivals] = None
+        self._clients: Optional[ClientPopulation] = None
         self._max_items: Optional[int] = None
         self._item_ids = 0
         self.generated = 0
@@ -397,15 +365,6 @@ class Rack:
 
             maybe_trace_rack(self)
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _draw_flow(self) -> int:
-        total = self._cumulative_flow_weights[-1]
-        index = bisect_right(
-            self._cumulative_flow_weights, self._flow_rng.random() * total
-        )
-        return min(index, self.config.num_flows - 1)
-
     # -- traffic -------------------------------------------------------------
 
     def attach_open_loop(
@@ -420,15 +379,11 @@ class Rack:
         (``num_servers * cores_per_server / mean_service``); ``rate`` is
         an absolute aggregate arrival rate in requests/second.
         """
-        if (load is None) == (rate is None):
-            raise ValueError("specify exactly one of load / rate")
-        if self._arrivals is not None:
+        rate = offered_rate(self.config, load, rate)
+        if self._clients is not None:
             raise RuntimeError("open loop already attached")
-        if rate is None:
-            mean = self.servers[0].config.workload.mean_service_seconds
-            fleet_cores = self.config.num_servers * self.config.cores_per_server
-            rate = load_to_rate(load, mean, fleet_cores)
-        self._arrivals = PoissonArrivals(rate, self.streams.stream(STREAM_ARRIVALS))
+        config = self.config
+        self._clients = ClientPopulation(rate, config.num_flows, config.flow_skew, self.streams)
         self._max_items = max_items
         # Same heap slot the reference's spawned traffic process occupies:
         # one zero-delay bootstrap event. run() decides per-arrival vs.
@@ -438,7 +393,7 @@ class Rack:
     def _traffic_start(self, _value=None) -> None:
         if self._max_items is not None and self.generated >= self._max_items:
             return
-        delay = self._arrivals.next_interarrival()
+        delay = self._clients.next_interarrival()
         if self._chunk_plan is not None:
             self._next_arrival = self.sim.now + delay
             self._sweep_window()
@@ -447,17 +402,12 @@ class Rack:
             self.sim.schedule(delay, self._traffic_tick)
 
     def _traffic_tick(self, _value=None) -> None:
-        """Per-arrival traffic: one event per request (reference order).
-        An arrival that finds every server down is lost, as a failed
-        re-dispatch is."""
+        """Per-arrival traffic: one event per request (reference order),
+        its flow drawn at the arrival instant."""
         self.generated += 1
-        self.metrics.dispatched += 1
-        try:
-            self.dispatch(self._draw_flow(), self.sim.now)
-        except AllServersDownError:
-            self.metrics.lost += 1
+        self.front_end.arrive(self._clients.draw_flow(), self.sim.now)
         if self._max_items is None or self.generated < self._max_items:
-            self.sim.schedule(self._arrivals.next_interarrival(), self._traffic_tick)
+            self.sim.schedule(self._clients.next_interarrival(), self._traffic_tick)
 
     def _sweep_window(self, _value=None) -> None:
         """Batched traffic: deliver every arrival in the current window.
@@ -466,7 +416,7 @@ class Rack:
         flow pick (flows stream), steering, service demand (target
         server's stream), next interarrival (arrivals stream) — and the
         link/latency arithmetic reuses the exact floating-point
-        expressions of :meth:`dispatch` / ``Link.transfer_delay``, so
+        expressions of :meth:`_cross_link` / ``Link.transfer_delay``, so
         delivery timestamps match bit for bit.
         """
         plan = self._chunk_plan
@@ -484,14 +434,15 @@ class Rack:
             policy = balancer.policy
             outstanding = balancer.outstanding
             servers = self.servers
-            flow_random = self._flow_rng.random
-            cum = self._cumulative_flow_weights
+            clients = self._clients
+            flow_random = clients.flow_rng.random
+            cum = clients.cumulative
             total = cum[-1]
-            # Interarrival draw inlined: PoissonArrivals.next_interarrival
+            # Interarrival draw inlined: ClientPopulation.next_interarrival
             # is Random.expovariate(rate), which is -log(1-random())/rate
             # — same expression, same stream, two frames fewer per draw.
-            arr_random = self._arrivals._rng.random
-            arr_rate = self._arrivals._rate
+            arr_random = clients.arrival_rng.random
+            arr_rate = clients.rate
             schedule_at = sim.schedule_at
             links = [server.link for server in servers]
             busy = [link.busy_until for link in links]
@@ -704,13 +655,13 @@ class Rack:
         cannot be retracted.
         """
         chunked = (
-            self._arrivals is not None
+            self._clients is not None
             and target_completions is None
             and self._max_items is None
             and not self.dispatch_hooks
             and not self.delivery_hooks
             and not self._tick_started
-            and self.balancer.policy in _SWEEPABLE_POLICIES
+            and self.balancer.policy in LOAD_OBLIVIOUS_POLICIES
             and all(event.kind != "crash" for event in self.controller.events)
             and all(server.up for server in self.servers)
         )
@@ -751,50 +702,25 @@ class Rack:
             # restart the window chain for the new plan.
             self.sim.schedule(0.0, self._sweep_window)
 
-    def dispatch(
-        self,
-        flow: int,
-        arrival_time: float,
-        base_service: Optional[float] = None,
-    ) -> int:
-        """Steer one request through the balancer and its server's link,
-        then run the dispatch hooks."""
-        server_id = self.balancer.dispatch(flow)
+    def _cross_link(self, server_id: int, flow: int, time: float, arrival_time: float,
+                    base_service: Optional[float]) -> None:
+        """The front end's sink: cross the chosen server's link at
+        ``time`` (now) and schedule the delivery."""
         server = self.servers[server_id]
         if base_service is None:
             # Drawn from the *target server's* service stream, keeping
             # per-server statistics independent and the run replayable.
             base_service = server.system.service_model()
-        delay = server.link.transfer_delay(self.sim.now, self.config.request_bytes)
+        delay = server.link.transfer_delay(time, self.config.request_bytes)
         server.fastpath.pending_deliveries += 1
         self.sim.schedule(delay, server.enqueue, flow, arrival_time, base_service)
         server.dispatched += 1
-        hooks = self.dispatch_hooks
-        if hooks:
-            for hook in hooks:
-                hook(flow, arrival_time, server_id)
-        return server_id
 
     def redispatch(self, flow: int, arrival_time: float, base_service: float) -> None:
-        """Retry a failed request after the failover detection delay.
-
-        The original ``arrival_time`` is preserved, so the recorded
-        latency includes the full failover penalty the client observed.
-        """
-        self.metrics.redispatched += 1
-        self.sim.schedule(
-            self.config.failover_delay_s,
-            self._redispatch_now,
-            flow,
-            arrival_time,
-            base_service,
-        )
-
-    def _redispatch_now(self, flow: int, arrival_time: float, base_service: float) -> None:
-        try:
-            self.dispatch(flow, arrival_time, base_service)
-        except AllServersDownError:
-            self.metrics.lost += 1
+        """Retry a failed request after the failover detection delay
+        (through the front end, which keeps its arrival time)."""
+        due = self.sim.now + self.config.failover_delay_s
+        self.front_end.redispatch(flow, arrival_time, base_service, due)
 
     # -- failure handling ----------------------------------------------------
 
@@ -823,7 +749,7 @@ class Rack:
             # to events, whose down-server arrival redispatches exactly.
             self._flush_pull(server)
         backlog = server.fail()
-        self.balancer.mark_down(index)
+        self.front_end.crash_server(index)
         for item in backlog:
             flow, _epoch, base_service = item.payload
             self.redispatch(flow, item.arrival_time, base_service)
@@ -834,7 +760,7 @@ class Rack:
         if server.up:
             return
         server.up = True
-        self.balancer.mark_up(index)
+        self.front_end.restart_server(index)
 
     # -- running -------------------------------------------------------------
 
@@ -853,21 +779,13 @@ class Rack:
             raise ValueError("need positive duration, non-negative warmup")
         start = self.sim.now
         boundary = start + warmup
-        self.metrics.warmup_time = boundary
-        self.metrics.latency.warmup_time = boundary
-        self.metrics.measure_start = boundary
+        self.front_end.measure_from(boundary)
         for server in self.servers:
             server.system.metrics.latency.warmup_time = boundary
             server.system.metrics.measure_start = boundary
         total = warmup + duration
         if self.controller is None:
-            events = fault_schedule(
-                self.config.fault_profile,
-                self.config.num_servers,
-                total,
-                self.streams.stream(STREAM_FAULTS),
-            )
-            self.controller = ClusterController(self, events)
+            self.controller = ClusterController(self, self.front_end.faults(total))
             self.controller.start()
         if self._fault_base is None:
             # Controller event times are relative to its start() call;
@@ -885,7 +803,7 @@ class Rack:
         self._plan_traffic(start, deadline, target_completions)
         if (
             target_completions is None
-            and self._arrivals is not None
+            and self._clients is not None
             and self._max_items is None
         ):
             # Nothing can end the run early: a single engine run replaces

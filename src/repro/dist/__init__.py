@@ -9,10 +9,10 @@ the rest) carries dispatch/completion/heartbeat traffic
 over loopback TCP or Unix sockets, and a streaming replayer
 (:mod:`repro.dist.replay`) feeds generated or recorded workloads at a
 configurable speed factor. The coordinator
-(:mod:`repro.dist.coordinator`) keeps the fleet layer — balancer,
-arrival streams, fault schedule — bit-compatible with the rack's and
-merges per-node metrics through the :mod:`repro.obs` snapshot/merge
-machinery.
+(:mod:`repro.dist.coordinator`) drives the rack's own fleet front end
+(:mod:`repro.cluster.frontend`: balancer, crash membership, failover,
+client metrics) on a simulator of its own and merges per-node metrics
+through the :mod:`repro.obs` snapshot/merge machinery.
 
 Entry point: :func:`run_cluster_dist`, a drop-in peer of
 :func:`repro.cluster.rack.run_cluster`. Experiments reach it through

@@ -1,4 +1,4 @@
-"""The dist coordinator: spawn workers, replay traffic, merge results.
+"""The dist coordinator: spawn workers, steer traffic, fold results.
 
 :func:`run_cluster_dist` is the multi-process counterpart of
 :func:`repro.cluster.rack.run_cluster`: the same :class:`ClusterConfig`,
@@ -6,26 +6,27 @@ the same client-visible :class:`~repro.cluster.metrics.ClusterMetrics`,
 but every server simulated inside a spawned worker process
 (:mod:`repro.dist.worker`) connected over loopback TCP or a Unix socket.
 
-The coordinator owns exactly the state the shared-timeline rack keeps at
-the fleet layer — the balancer (with the same ``cluster.balancer``
-random stream and ring seed), the arrival process (same
-``cluster.arrivals``/``cluster.flows`` streams via
-:class:`~repro.dist.replay.PoissonSource`), and the fault schedule (same
-``cluster.faults`` stream, sent to every worker once in ``configure``)
-— and advances the fleet in *lockstep windows*: all dispatches falling
-inside a window are steered and sent to the owning workers, every
-worker simulates to the window bound, and the reported completions are
-folded into the fleet metrics in global time order before the next
-window's steering decisions.
+The coordinator drives the rack's own fleet front end
+(:class:`repro.cluster.frontend.FrontEnd`: balancer, crash membership,
+failover re-dispatch, all-down loss, metrics) on a simulator of its
+own, fed by an :class:`~repro.dist.replay.ArrivalSource`, and adds what
+is distributed. It advances the fleet in *lockstep windows*: the front
+end's clock runs to the window bound, each request it steers on the
+way joins the owning worker's batch, every worker simulates to the
+bound, and the reported completions are folded into the fleet metrics
+in global time order before the next window's steering decisions.
+Membership changes and due re-dispatches fire before an arrival at the
+same instant; an arrival on a window bound goes to the next window.
 
 The window length is chosen to divide the rack's target-check chunk
-(2 ms) and not exceed ``failover_delay_s``, which makes the two runtimes
-agree closely: failover re-dispatches always land in a later window
-(exactly as the rack schedules them), measurement stops at identical
-chunk boundaries, and the only cross-window approximation left is that
-the balancer sees a completion up to one window late — invisible to the
-load-oblivious policies (``rss``, ``round-robin``) and a documented
-statistical tolerance for the load-aware ones (see docs/distributed.md).
+(2 ms) and not exceed a positive ``failover_delay_s``, which makes the
+two runtimes agree closely: failover re-dispatches always land in a
+later window (exactly as the rack schedules them), measurement stops at
+identical chunk boundaries, and the only cross-window approximation
+left is that the balancer sees a completion up to one window late —
+invisible to the load-oblivious policies (``rss``, ``round-robin``) and
+a documented statistical tolerance for the load-aware ones (see
+docs/distributed.md).
 
 Worker failures degrade gracefully: a vanished process (EOF on its
 channel, or a liveness timeout with retries exhausted) marks its servers
@@ -36,7 +37,6 @@ in the dist provenance block that lands in the RunManifest.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import socket
@@ -45,8 +45,10 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.balancer import LOAD_OBLIVIOUS_POLICIES
 from repro.cluster.rack import CHECK_CHUNK_S
 from repro.dist.wire import (
     DEFAULT_BACKOFF_CAP_S,
@@ -60,19 +62,15 @@ from repro.obs.live import DEFAULT_TELEMETRY_INTERVAL_S
 
 TRANSPORTS = ("unix", "tcp")
 
-# Balancer policies whose steering decisions cannot depend on completion
-# feedback: placement is a pure function of the flow key (rss) or of the
-# dispatch order (round-robin). For these, any lookahead depth is exact,
-# so batches run to the chunk boundary. The load-aware policies
-# (least-loaded, p2c) see completions one exchange late, so their
-# lookahead is capped to keep the documented statistical tolerance.
-LOAD_OBLIVIOUS_POLICIES = ("rss", "round-robin")
-
-# Measured on the cluster_scaleout fast grid (docs/distributed.md):
-# at 4 windows of lookahead the load-aware p99 stays inside the same
-# <=0.12 envelope the one-window lockstep protocol had (worst row
-# 0.105); at 8 windows the stale-feedback drift breaches the CI gate
-# (worst row 0.34), so 4 is the default ceiling.
+# Load-oblivious placement (LOAD_OBLIVIOUS_POLICIES) is exact at any
+# lookahead depth, so its batches run to the chunk boundary. The
+# load-aware policies (least-loaded, p2c) see completions one exchange
+# late, so their lookahead is capped to keep the documented statistical
+# tolerance. Measured on the cluster_scaleout fast grid
+# (docs/distributed.md): at 4 windows of lookahead the load-aware p99
+# stays inside the same <=0.12 envelope the one-window lockstep protocol
+# had (worst row 0.105); at 8 windows the stale-feedback drift breaches
+# the CI gate (worst row 0.34), so 4 is the default ceiling.
 LOAD_AWARE_LOOKAHEAD = 4
 
 
@@ -380,13 +378,91 @@ class WorkerPool:
 
 
 def _pick_window(failover_delay_s: float) -> float:
-    """The largest divisor of the 2 ms check chunk not above the
+    """The largest divisor of the 2 ms check chunk not above a positive
     failover delay — re-dispatches then always land in later windows and
     target-completion stops hit the rack's exact chunk boundaries."""
     if failover_delay_s <= 0:
         return CHECK_CHUNK_S
     slices = max(1, math.ceil(CHECK_CHUNK_S / failover_delay_s))
     return CHECK_CHUNK_S / slices
+
+
+def _max_ahead(options: DistOptions, policy: str, windows_per_chunk: int) -> int:
+    """How many windows one exchange may carry (see the module notes)."""
+    if options.lookahead is not None:
+        return options.lookahead
+    if options.speed_factor > 0:
+        return 1  # pacing wants per-window wall-clock granularity
+    if policy in LOAD_OBLIVIOUS_POLICIES:
+        return windows_per_chunk
+    return min(LOAD_AWARE_LOOKAHEAD, windows_per_chunk)
+
+
+def _worker_fault(handle: WorkerHandle, at: float, telemetry, options, info) -> Dict[str, Any]:
+    """The fault record of a vanished worker. It carries the worker's
+    last flight-recorder window — its final streamed frames survive
+    coordinator-side — or says that none exists, so post-mortems never
+    guess; with a bus attached, the bus is dumped to a post-mortem file."""
+    fault = {
+        "worker_id": handle.worker_id,
+        "servers": handle.servers,
+        "time": at,
+        "kind": "worker-crash",
+        "telemetry": "no_telemetry",
+    }
+    if telemetry is None:
+        return fault
+    window = telemetry.flight_window(handle.worker_id)
+    if window:
+        fault["telemetry"] = window
+    path = info.get("flight_recorder")
+    if path is None:
+        if options.flight_recorder_dir:
+            os.makedirs(options.flight_recorder_dir, exist_ok=True)
+        fd, path = tempfile.mkstemp(
+            prefix="repro-dist-flight-",
+            suffix=".jsonl",
+            dir=options.flight_recorder_dir,
+        )
+        os.close(fd)
+        info["flight_recorder"] = path
+    telemetry.dump_flight_recorder(path, reason=f"worker-{handle.worker_id}-crash")
+    return fault
+
+
+def _fold_batch(replies, windows: int, front_end, in_flight, failover: float) -> None:
+    """Fold one exchange's outcomes into the front end: window by window,
+    workers in id order, then completions in global (time, server, id)
+    order, the fold order of one-window lockstep. A re-dispatch reported
+    at ``t`` falls due at ``t + failover``, as ``Rack.redispatch`` has it."""
+    balancer = front_end.balancer
+    metrics = front_end.metrics
+    sorted_ids = sorted(replies)
+    for w_index in range(windows):
+        completions: List[Tuple[float, int, int, float]] = []
+        for worker_id in sorted_ids:
+            blocks = replies[worker_id].get("windows") or []
+            if w_index >= len(blocks):
+                continue
+            block = blocks[w_index]
+            for rid, t, latency, server in block["completions"]:
+                completions.append((t, server, rid, latency))
+            for rid, t, server in block["losses"]:
+                balancer.complete(server)
+                metrics.lost += 1
+                in_flight.pop(rid, None)
+            for rid, t, server in block["rejects"]:
+                balancer.complete(server)
+                metrics.rejected += 1
+                in_flight.pop(rid, None)
+            for rid, t, flow, arrival, svc in block["redispatches"]:
+                in_flight.pop(rid, None)
+                front_end.redispatch(flow, arrival, svc, t + failover)
+        completions.sort()
+        for t, server, rid, latency in completions:
+            balancer.complete(server)
+            metrics.record(t, latency, server)
+            in_flight.pop(rid, None)
 
 
 def run_cluster_dist(
@@ -416,22 +492,28 @@ def run_cluster_dist(
     flight-recorder window to the fault record and dumps a post-mortem
     file (path in ``info["flight_recorder"]``). Telemetry never
     perturbs the simulation — runs are bit-exact with or without a bus.
+
+    A crash fault needs ``config.failover_delay_s > 0`` here (so its
+    re-dispatches fall due after the window that reported them);
+    :func:`~repro.cluster.rack.run_cluster` accepts a zero delay.
     """
-    from repro.cluster.balancer import AllServersDownError, LoadBalancer
-    from repro.cluster.config import STREAM_BALANCER, STREAM_FAULTS
-    from repro.cluster.faults import fault_schedule
-    from repro.cluster.metrics import ClusterMetrics
+    import dataclasses
+    import itertools
+
+    from repro.cluster.controller import ClusterController
+    from repro.cluster.frontend import FrontEnd, offered_rate
     from repro.dist.replay import PoissonSource, ReplayPacer, take_window
     from repro.obs.runtime import get_active_registry
-    from repro.sim.rng import RandomStreams, derive_seed
-    from repro.traffic.arrivals import load_to_rate
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RandomStreams
 
     if options is None:
         options = DistOptions()
     if warmup < 0 or duration <= 0:
         raise ValueError("need positive duration, non-negative warmup")
-    if source is None and (load is None) == (rate is None):
-        raise ValueError("specify exactly one of load / rate")
+    if source is None:
+        rate = offered_rate(config, load, rate)
+        source = PoissonSource(rate, config.num_flows, config.flow_skew, config.seed)
 
     num_servers = config.num_servers
     num_workers = min(options.workers, num_servers)
@@ -439,45 +521,51 @@ def run_cluster_dist(
         worker_id: [s for s in range(num_servers) if s % num_workers == worker_id]
         for worker_id in range(num_workers)
     }
-    owner = {s: s % num_workers for s in range(num_servers)}
 
-    # Fleet-layer state, replicated from the rack with the same streams.
-    streams = RandomStreams(config.seed)
-    balancer = LoadBalancer(
-        config.balancer,
-        num_servers,
-        rng=streams.stream(STREAM_BALANCER),
-        seed=derive_seed(config.seed, "cluster.ring"),
-    )
+    # The rack's front end on a simulator of its own. Its sink appends
+    # each steered request to the owning worker's batch for the window
+    # being planned; ``in_flight`` remembers who holds what.
+    batches: Dict[int, List[Dict[str, Any]]] = {}
+    in_flight: Dict[int, Tuple[int, float, int]] = {}
+    ids = itertools.count(1)
+
+    def to_batch(server, flow, t, arrival, svc) -> None:
+        rid = next(ids)
+        record = {"id": rid, "t": t, "flow": flow, "server": server}
+        if arrival != t:
+            record["arr"] = arrival
+        if svc is not None:
+            record["svc"] = svc
+        worker = server % num_workers
+        batches[worker].append(record)
+        in_flight[rid] = (flow, arrival, worker)
+
+    sim = Simulator()
+    front_end = FrontEnd(config, sim, RandomStreams(config.seed), to_batch)
+    metrics = front_end.metrics
     total = warmup + duration
-    metrics = ClusterMetrics(num_servers, warmup_time=warmup)
-    metrics.measure_start = warmup
-    faults = fault_schedule(
-        config.fault_profile, num_servers, total, streams.stream(STREAM_FAULTS)
-    )
-    if source is None:
-        if rate is None:
-            mean = config.server_config(0).workload.mean_service_seconds
-            fleet_cores = num_servers * config.cores_per_server
-            rate = load_to_rate(load, mean, fleet_cores)
-        source = PoissonSource(
-            rate, config.num_flows, config.flow_skew, config.seed
+    front_end.measure_from(warmup)
+    faults = front_end.faults(total)
+    crashes = [event for event in faults if event.kind == "crash"]
+    failover = config.failover_delay_s
+    if crashes and failover <= 0:
+        raise ValueError(
+            "a crash fault needs failover_delay_s > 0 on the dist runtime: a "
+            "re-dispatch must fall due after the window that reported it "
+            "(run_cluster accepts a zero delay)"
         )
-
-    # The workers' controllers apply the fault schedule to their own
-    # servers; crash membership changes steer the balancer here.
-    balancer_timeline: List[Tuple[float, str, int]] = []
-    for event in faults:
-        if event.kind == "crash":
-            balancer_timeline.append((event.time, "down", event.server))
-            balancer_timeline.append((event.end_time, "up", event.server))
-    balancer_timeline.sort()
+    # Crash membership, as Rack.run drives it; the controller starts
+    # before any arrival enters the front end. The workers' own
+    # controllers apply every fault to their servers.
+    ClusterController(front_end, crashes).start()
+    crash_intervals = sorted((event.time, event.end_time) for event in crashes)
 
     registry = get_active_registry()
     collect_metrics = registry is not None and registry.enabled
 
-    window = _pick_window(config.failover_delay_s)
+    window = _pick_window(failover)
     windows_per_chunk = max(1, round(CHECK_CHUNK_S / window))
+    max_ahead = _max_ahead(options, config.balancer, windows_per_chunk)
     pacer = ReplayPacer(options.speed_factor)
 
     pool = WorkerPool(
@@ -486,7 +574,6 @@ def run_cluster_dist(
         spawn_timeout_s=options.spawn_timeout_s,
     )
     worker_faults: List[Dict[str, Any]] = []
-    permanently_down: set = set()
     info: Dict[str, Any] = {
         "workers": num_workers,
         "transport": options.transport,
@@ -495,11 +582,10 @@ def run_cluster_dist(
         "partial": False,
         "worker_faults": worker_faults,
         "assignments": {str(k): v for k, v in assignments.items()},
+        "lookahead": max_ahead,
     }
 
     try:
-        import dataclasses
-
         config_dict = dataclasses.asdict(config)
         fault_dicts = [dataclasses.asdict(event) for event in faults]
         configure = {}
@@ -539,129 +625,41 @@ def run_cluster_dist(
                 f"{sorted(h.worker_id for h in died)}"
             )
 
-        def fail_worker(handle: WorkerHandle, at: float, redisp_heap, seq) -> None:
-            """Crash-fault handling for a vanished worker process."""
+        def fail_worker(handle: WorkerHandle, at: float) -> None:
+            """Retire a vanished worker's servers and retry, after the
+            detection delay, every request it still held, client-style."""
             info["partial"] = True
-            fault = {
-                "worker_id": handle.worker_id,
-                "servers": handle.servers,
-                "time": at,
-                "kind": "worker-crash",
-            }
-            # Attach the crashed worker's last flight-recorder window —
-            # its final streamed frames survive coordinator-side even
-            # though the process died mid-step — or say explicitly that
-            # none exists, so post-mortems never guess.
-            if telemetry is not None:
-                window = telemetry.flight_window(handle.worker_id)
-                fault["telemetry"] = window if window else "no_telemetry"
-                path = info.get("flight_recorder")
-                if path is None:
-                    if options.flight_recorder_dir:
-                        os.makedirs(options.flight_recorder_dir, exist_ok=True)
-                    fd, path = tempfile.mkstemp(
-                        prefix="repro-dist-flight-",
-                        suffix=".jsonl",
-                        dir=options.flight_recorder_dir,
-                    )
-                    os.close(fd)
-                    info["flight_recorder"] = path
-                telemetry.dump_flight_recorder(
-                    path, reason=f"worker-{handle.worker_id}-crash"
-                )
-            else:
-                fault["telemetry"] = "no_telemetry"
-            worker_faults.append(fault)
+            worker_faults.append(_worker_fault(handle, at, telemetry, options, info))
             for server in handle.servers:
-                permanently_down.add(server)
-                if balancer.live[server]:
-                    balancer.mark_down(server)
-            # Every request this worker still held is retried on the
-            # survivors after the detection delay, client-style.
+                front_end.retire(server)
             orphaned = [
                 (rid, meta) for rid, meta in in_flight.items()
                 if meta[2] == handle.worker_id
             ]
             for rid, (flow, arrival, _w) in sorted(orphaned):
                 del in_flight[rid]
-                metrics.redispatched += 1
-                heapq.heappush(
-                    redisp_heap,
-                    (at + config.failover_delay_s, next(seq), flow, arrival, None),
-                )
-
-        # -- the batched lookahead window loop ----------------------------
-        #
-        # Same per-window steering and fold as the PR 7 lockstep
-        # protocol, but K windows travel per RPC exchange. K is safe
-        # because every cross-window dependency is bounded:
-        #   * load-oblivious placement (rss, round-robin) never reads
-        #     completion feedback, so steering ahead is exact;
-        #   * unknown re-dispatches can only originate inside a modelled
-        #     crash interval, and come due a full failover delay later —
-        #     the batch stops strictly before the earliest such due time;
-        #   * target-completion checks happen at 2 ms chunk boundaries,
-        #     so batches never cross one.
-        import itertools
-
-        source_iter = iter(source)
-        lookahead: List[Any] = []
-        redispatch_heap: List[Tuple[float, int, int, float, Optional[float]]] = []
-        tiebreak = itertools.count()
-        ids = itertools.count(1)
-        in_flight: Dict[int, Tuple[int, float, int]] = {}
-        balancer_index = 0
-        window_index = 0
-        window_start = 0.0
-        exchanges = 0
-        collected_replies: Dict[int, Dict[str, Any]] = {}
-        failover = config.failover_delay_s
-
-        if options.lookahead is not None:
-            max_ahead = options.lookahead
-        elif options.speed_factor > 0:
-            max_ahead = 1  # pacing wants per-window wall-clock granularity
-        elif config.balancer in LOAD_OBLIVIOUS_POLICIES:
-            max_ahead = windows_per_chunk
-        else:
-            max_ahead = min(LOAD_AWARE_LOOKAHEAD, windows_per_chunk)
-        max_ahead = max(1, max_ahead)
-        info["lookahead"] = max_ahead
-
-        # Simulated spans inside which an *unknown* re-dispatch can
-        # originate: modelled server crashes surrender their backlog at
-        # the crash instant and bounce wire-deliveries while down.
-        crash_intervals = sorted(
-            (event.time, event.end_time)
-            for event in faults
-            if event.kind == "crash"
-        )
+                front_end.redispatch(flow, arrival, None, at + failover)
 
         def batch_horizon(batch_start: float) -> float:
             """Exclusive bound on a batch starting at ``batch_start``:
             the earliest instant an in-batch re-dispatch could come due.
-            Re-dispatches known *before* the batch sit in the heap and
-            are steered normally; only crash-born ones are unknowable."""
+            Re-dispatches known *before* the batch are already on the
+            front end's clock; only crash-born ones are unknowable."""
             for start, end in crash_intervals:
                 if end > batch_start:
                     return max(start, batch_start) + failover
             return math.inf
 
-        def dispatch_one(batches, flow, t, arrival, svc) -> None:
-            server = balancer.dispatch(flow)
-            rid = next(ids)
-            record = {"id": rid, "t": t, "flow": flow, "server": server}
-            if arrival != t:
-                record["arr"] = arrival
-            if svc is not None:
-                record["svc"] = svc
-            batches[owner[server]].append(record)
-            in_flight[rid] = (flow, arrival, owner[server])
-
+        source_iter = iter(source)
+        lookahead: List[Any] = []
+        window_index = 0
+        window_start = 0.0
+        exchanges = 0
+        collected_replies: Dict[int, Dict[str, Any]] = {}
         pacer.start(0.0)
 
         while window_start < total:
-            # -- plan and steer one batch of pre-steered windows ----------
+            # -- plan and steer one batch of windows ----------------------
             horizon = batch_horizon(window_start)
             step_windows: Dict[int, List[Dict[str, Any]]] = {
                 h.worker_id: [] for h in pool.alive()
@@ -676,83 +674,29 @@ def run_cluster_dist(
                     # safe: that IS the lockstep granularity.)
                     break
                 arrivals = take_window(lookahead, source_iter, window_end)
-
-                if (
-                    not arrivals
-                    and not (
-                        balancer_index < len(balancer_timeline)
-                        and balancer_timeline[balancer_index][0] <= window_end
-                    )
-                    and not (
-                        redispatch_heap
-                        and redispatch_heap[0][0] <= window_end
-                    )
-                ):
+                if not arrivals and sim.peek() > window_end:
                     # Nothing happens fleet-side this window: ship a bare
                     # clock advance. One shared dict serves every worker
                     # (encode-only, never mutated).
                     empty = {"until": window_end, "dispatches": ()}
                     for window_list in step_windows.values():
                         window_list.append(empty)
-                    batch_bounds.append(window_end)
-                    window_start = window_end
-                    window_index += 1
-                    if window_index % windows_per_chunk == 0:
-                        break
-                    continue
-
-                # Interleave membership changes, due re-dispatches, and
-                # fresh arrivals in simulated-time order, exactly the
-                # order the rack's shared event heap would fire them in.
-                events: List[Tuple[float, int, str, Any]] = []
-                while (
-                    balancer_index < len(balancer_timeline)
-                    and balancer_timeline[balancer_index][0] <= window_end
-                ):
-                    t, action, server = balancer_timeline[balancer_index]
-                    events.append((t, 0, action, server))
-                    balancer_index += 1
-                while redispatch_heap and redispatch_heap[0][0] <= window_end:
-                    due, order, flow, arrival, svc = heapq.heappop(
-                        redispatch_heap
-                    )
-                    events.append((due, 1, "redispatch", (flow, arrival, svc)))
-                for record in arrivals:
-                    events.append((record.time, 2, "arrive", record))
-                events.sort(key=lambda e: (e[0], e[1]))
-
-                batches: Dict[int, List[Dict[str, Any]]] = {
-                    worker_id: [] for worker_id in step_windows
-                }
-                for t, _prio, action, payload in events:
-                    if action == "down":
-                        if balancer.live[payload]:
-                            balancer.mark_down(payload)
-                    elif action == "up":
-                        if payload not in permanently_down:
-                            balancer.mark_up(payload)
-                    elif action == "redispatch":
-                        flow, arrival, svc = payload
-                        try:
-                            dispatch_one(batches, flow, t, arrival, svc)
-                        except AllServersDownError:
-                            metrics.lost += 1
-                    else:  # arrive
-                        metrics.dispatched += 1
-                        record = payload
-                        try:
-                            dispatch_one(
-                                batches, record.flow, record.time,
-                                record.time, record.service_s,
-                            )
-                        except AllServersDownError:
-                            metrics.lost += 1
-
-                for worker_id, window_list in step_windows.items():
-                    window_list.append({
-                        "until": window_end,
-                        "dispatches": batches[worker_id],
-                    })
+                else:
+                    # Membership changes and re-dispatches due at or
+                    # before each arrival fire first; those on the bound
+                    # stay in this window, arrivals on it go to the next.
+                    # Arrivals go in time order (stably), so a trace out
+                    # of order within one window still replays.
+                    batches = {worker_id: [] for worker_id in step_windows}
+                    for record in sorted(arrivals, key=attrgetter("time")):
+                        sim.run(until=record.time)
+                        front_end.arrive(record.flow, record.time, record.service_s)
+                    sim.run(until=window_end)
+                    for worker_id, window_list in step_windows.items():
+                        window_list.append({
+                            "until": window_end,
+                            "dispatches": batches[worker_id],
+                        })
                 batch_bounds.append(window_end)
                 window_start = window_end
                 window_index += 1
@@ -785,47 +729,14 @@ def run_cluster_dist(
                 for worker_id in sorted(replies):
                     fold_telemetry(replies[worker_id].get("telemetry"))
             for handle in died:
-                fail_worker(handle, batch_end, redispatch_heap, tiebreak)
+                fail_worker(handle, batch_end)
             if not pool.alive():
                 raise DistError(
                     "every worker died; the fleet cannot make progress"
                 )
 
-            # Fold the batch window by window, workers in id order, then
-            # completions in global (time, server, id) order — the exact
-            # fold sequence of the one-window lockstep protocol, so the
-            # fleet state evolves identically.
-            sorted_ids = sorted(replies)
-            for w_index in range(len(batch_bounds)):
-                completions: List[Tuple[float, int, int, float]] = []
-                for worker_id in sorted_ids:
-                    blocks = replies[worker_id].get("windows") or []
-                    if w_index >= len(blocks):
-                        continue
-                    block = blocks[w_index]
-                    for rid, t, latency, server in block["completions"]:
-                        completions.append((t, server, rid, latency))
-                    for rid, t, server in block["losses"]:
-                        balancer.complete(server)
-                        metrics.lost += 1
-                        in_flight.pop(rid, None)
-                    for rid, t, server in block["rejects"]:
-                        balancer.complete(server)
-                        metrics.rejected += 1
-                        in_flight.pop(rid, None)
-                    for rid, t, flow, arrival, svc in block["redispatches"]:
-                        metrics.redispatched += 1
-                        in_flight.pop(rid, None)
-                        heapq.heappush(
-                            redispatch_heap,
-                            (t + failover, next(tiebreak), flow, arrival, svc),
-                        )
-                completions.sort()
-                for t, server, rid, latency in completions:
-                    balancer.complete(server)
-                    metrics.record(t, latency, server)
-                    in_flight.pop(rid, None)
-            for worker_id in sorted_ids:
+            _fold_batch(replies, len(batch_bounds), front_end, in_flight, failover)
+            for worker_id in sorted(replies):
                 collected = replies[worker_id].get("collected")
                 if collected is not None:
                     collected_replies[worker_id] = collected
@@ -860,7 +771,7 @@ def run_cluster_dist(
                 on_heartbeat=heartbeat_cb,
             )
             for handle in died:
-                fail_worker(handle, window_start, redispatch_heap, tiebreak)
+                fail_worker(handle, window_start)
             collected_replies.update(replies)
         nodes: List[Dict[str, Any]] = []
         for worker_id in sorted(collected_replies):

@@ -5,10 +5,12 @@ iterator of :class:`TraceRecord` in non-decreasing time order. Two
 sources are provided:
 
 - :class:`PoissonSource` synthesises the exact arrival process the
-  shared-timeline rack generates (same ``cluster.arrivals`` /
-  ``cluster.flows`` random streams, same draw order), which is what
-  makes ``backend="dist"`` statistically — and, under ``rss``
-  placement, near bit-exactly — comparable to ``repro.cluster``;
+  shared-timeline rack generates: it draws through the rack's own
+  :class:`~repro.cluster.frontend.ClientPopulation` (same
+  ``cluster.arrivals`` / ``cluster.flows`` random streams, same draw
+  order), which is what makes ``backend="dist"`` statistically — and,
+  under load-oblivious placement, bit-exactly — comparable to
+  ``repro.cluster``;
 - :class:`TraceFileSource` streams a recorded workload from a JSONL
   file one line at a time (arbitrarily long traces never load into
   memory), following the dc-mock replayer design: records carry a
@@ -71,11 +73,12 @@ class ArrivalSource:
 class PoissonSource(ArrivalSource):
     """The rack's own open-loop client population, as a replay stream.
 
-    Draw order matches :meth:`repro.cluster.rack.Rack._traffic` exactly:
-    one exponential inter-arrival from the ``cluster.arrivals`` stream,
-    then one flow index from the Zipf-weighted ``cluster.flows`` stream,
-    per record — so a dist run consumes the same random numbers the
-    shared-timeline rack would.
+    Each record draws through a
+    :class:`~repro.cluster.frontend.ClientPopulation` on the seed's
+    streams, as the rack's per-arrival tick does: one interarrival gap
+    from ``cluster.arrivals``, then one flow from ``cluster.flows`` — so
+    a dist run consumes the same random numbers the shared-timeline
+    rack would.
     """
 
     def __init__(
@@ -86,31 +89,19 @@ class PoissonSource(ArrivalSource):
         seed: int,
         start: float = 0.0,
     ):
-        from bisect import bisect_right
-        from itertools import accumulate
+        from repro.cluster.frontend import ClientPopulation
 
-        from repro.cluster.config import STREAM_ARRIVALS, STREAM_FLOWS
-        from repro.cluster.rack import flow_weights
-        from repro.traffic.arrivals import PoissonArrivals
-
-        streams = RandomStreams(seed)
-        self._arrivals = PoissonArrivals(rate, streams.stream(STREAM_ARRIVALS))
-        self._flow_rng = streams.stream(STREAM_FLOWS)
-        self._cumulative = list(accumulate(flow_weights(num_flows, flow_skew)))
-        self._num_flows = num_flows
+        self._clients = ClientPopulation(
+            rate, num_flows, flow_skew, RandomStreams(seed)
+        )
         self._start = start
-        self._bisect = bisect_right
-
-    def _draw_flow(self) -> int:
-        total = self._cumulative[-1]
-        index = self._bisect(self._cumulative, self._flow_rng.random() * total)
-        return min(index, self._num_flows - 1)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        now = self._start
+        clients = self._clients
+        t = self._start
         while True:
-            now += self._arrivals.next_interarrival()
-            yield TraceRecord(time=now, flow=self._draw_flow())
+            t = t + clients.next_interarrival()
+            yield TraceRecord(time=t, flow=clients.draw_flow())
 
 
 class TraceFileSource(ArrivalSource):

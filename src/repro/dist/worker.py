@@ -15,12 +15,12 @@ shared-timeline rack; only the reporting of outcomes differs.
 Each ``step`` carries a *batch* of lookahead windows. The worker
 executes them strictly in sequence — per window it schedules one event
 per dispatch record at the record's dispatch time, which does what
-``Rack.dispatch`` does there (draw the service demand from the target
-server's own stream, cross the link, schedule the delivery), advances
-the local clock to that window's bound in ``max_events`` slices
-(emitting ``heartbeat`` frames between slices so the coordinator can
-tell a slow batch from a dead process), and snapshots the window's
-outcomes into its own reply block. Scheduling window N+1's arrivals
+the rack's front-end sink ``Rack._cross_link`` does there (draw the
+service demand from the target server's own stream, cross the link,
+schedule the delivery), advances the local clock to that window's
+bound in ``max_events`` slices (emitting ``heartbeat`` frames between
+slices so the coordinator can tell a slow batch from a dead process),
+and snapshots the window's outcomes into its own reply block. Scheduling window N+1's arrivals
 only after window N has fully run keeps the event heap's
 same-timestamp insertion order identical to the one-RPC-per-window
 lockstep protocol, which is what preserves bit-exactness under
@@ -301,8 +301,8 @@ class WorkerHost:
         arrival_time: float,
         base_service: Optional[float],
     ) -> None:
-        """What ``Rack.dispatch`` does once the balancer picked
-        ``server``, at the record's dispatch time: draw the service
+        """What the rack's sink ``Rack._cross_link`` does once the front
+        end picked ``server``, at the record's dispatch time: draw the service
         demand from the server's own stream, cross its link as the link
         stands now, and schedule the delivery."""
         if base_service is None:

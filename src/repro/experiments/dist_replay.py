@@ -97,12 +97,10 @@ class DistReplayConfig(BackendConfig):
 
 def _synthesise_trace(config: ClusterConfig, requests: int, path: str) -> None:
     """Record ``requests`` arrivals of the rack's client population."""
+    from repro.cluster.frontend import offered_rate
     from repro.dist.replay import PoissonSource, write_trace
-    from repro.traffic.arrivals import load_to_rate
-    from repro.workloads.service import workload_by_name
 
-    mean = workload_by_name(config.workload).mean_service_seconds
-    rate = load_to_rate(LOAD, mean, config.num_servers * config.cores_per_server)
+    rate = offered_rate(config, load=LOAD)
     source = PoissonSource(rate, config.num_flows, config.flow_skew, config.seed)
     write_trace(path, islice(iter(source), requests))
 

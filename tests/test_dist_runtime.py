@@ -221,3 +221,127 @@ def test_options_validate():
         DistOptions(speed_factor=-1.0)
     with pytest.raises(ValueError):
         DistOptions(crash_worker=1)  # needs crash_worker_at too
+
+
+def test_crash_fault_with_zero_failover_delay_is_refused_before_spawning(
+    monkeypatch,
+):
+    # With no delay, a crash-born re-dispatch would fall due inside the
+    # window that reported it, which the worker has already simulated.
+    import repro.dist.coordinator as coordinator
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker was spawned")
+
+    monkeypatch.setattr(coordinator, "WorkerPool", no_pool)
+    config = small_config(fault_profile="crash", failover_delay_s=0.0)
+    with pytest.raises(ValueError, match="run_cluster"):
+        run_cluster_dist(
+            config, load=LOAD, duration=DURATION, warmup=WARMUP,
+            options=DistOptions(workers=2),
+        )
+
+
+# -- order at equal instants and on window bounds -----------------------------
+
+
+@pytest.mark.parametrize("balancer", ["rss", "round-robin"])
+def test_crash_at_an_arrival_instant_is_bit_exact_with_the_rack(
+    monkeypatch, balancer
+):
+    # A crash lands exactly on an arrival instant, on the server that
+    # arrival would have gone to. Both runtimes change membership first
+    # and steer the arrival to a survivor.
+    import random
+
+    import repro.cluster.frontend as frontend
+    from repro.cluster.balancer import LoadBalancer
+    from repro.cluster.faults import FaultEvent
+    from repro.dist import PoissonSource
+    from repro.sim.rng import derive_seed
+
+    config = small_config(balancer=balancer)
+    load = 0.6
+    source = PoissonSource(
+        frontend.offered_rate(config, load=load),
+        config.num_flows, config.flow_skew, config.seed,
+    )
+    index, record = next(
+        (i, r) for i, r in enumerate(source) if r.time > WARMUP + 0.002
+    )
+    if balancer == "rss":
+        target = LoadBalancer(
+            "rss", config.num_servers, rng=random.Random(0),
+            seed=derive_seed(config.seed, "cluster.ring"),
+        ).server_for(record.flow)
+    else:
+        target = index % config.num_servers
+    crash = FaultEvent(record.time, "crash", target, duration=0.003)
+    monkeypatch.setattr(frontend, "fault_schedule", lambda *args: [crash])
+    rack = run_cluster(config, load=load, duration=DURATION, warmup=WARMUP)
+    dist = run_cluster_dist(
+        config, load=load, duration=DURATION, warmup=WARMUP,
+        options=DistOptions(workers=2),
+    )
+    assert [t for t, _event in rack.controller.applied] == [record.time]
+    assert dist.metrics.fingerprint() == rack.metrics.fingerprint()
+    assert dist.metrics.dispatched == rack.metrics.dispatched
+
+
+# The p2c fleet's fingerprint over the on-bound trace below, as the
+# hand-merging coordinator computed it before the fleet front end.
+ON_BOUND_P2C_FINGERPRINT = (
+    239,
+    2.7473669289889995e-06,
+    8.175071971861819e-06,
+    8.175029738000872e-06,
+    0,
+    0,
+    (52, 66, 61, 60),
+)
+
+
+def test_arrivals_on_a_window_bound_are_steered_in_the_next_window():
+    # Lockstep p2c steers with the completions folded so far, so an
+    # arrival on a window bound steered before that window's fold (not
+    # after it) moves the picks and the fingerprint.
+    from repro.dist import TraceRecord
+    from repro.dist.coordinator import _pick_window
+
+    config = small_config(balancer="p2c")
+    window = _pick_window(config.failover_delay_s)
+    warmup, duration = 0.001, 0.003
+    bounds, t = [], 0.0
+    while t < warmup + duration:
+        t = min(t + window, warmup + duration)
+        bounds.append(t)
+    records = []
+    for k, bound in enumerate(bounds[:-1]):
+        records.append(TraceRecord(time=bound - window / 2, flow=k % 64))
+        records.extend(
+            TraceRecord(time=bound, flow=(7 * k + j) % 64) for j in range(3)
+        )
+    dist = run_cluster_dist(
+        config, duration=duration, warmup=warmup, source=records,
+        options=DistOptions(workers=2, lookahead=1),
+    )
+    assert dist.info["windows"] == dist.info["exchanges"] == len(bounds)
+    assert dist.metrics.dispatched == len(records)
+    assert dist.metrics.fingerprint() == ON_BOUND_P2C_FINGERPRINT
+
+
+def test_records_out_of_order_within_a_window_replay_in_time_order():
+    from repro.dist import TraceRecord
+
+    config = small_config(num_servers=2, queues_per_server=8, num_flows=8)
+    ordered = [TraceRecord(1e-5, 2), TraceRecord(2e-5, 1), TraceRecord(3e-4, 3)]
+    shuffled = [ordered[1], ordered[0], ordered[2]]
+    runs = [
+        run_cluster_dist(
+            config, duration=5e-4, warmup=0.0, source=records,
+            options=DistOptions(workers=1),
+        )
+        for records in (ordered, shuffled)
+    ]
+    assert runs[0].metrics.count == 3
+    assert runs[1].metrics.fingerprint() == runs[0].metrics.fingerprint()

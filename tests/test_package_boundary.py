@@ -288,3 +288,55 @@ def test_step_windows_carry_no_fault_directives():
         ["dispatches", "until"],
         ["dispatches", "until"],
     ]
+
+
+# -- one fleet front end for the rack and the dist coordinator -----------------
+
+
+def test_dist_builds_no_front_end_of_its_own():
+    # Steering, membership, failover, client metrics and the client
+    # draw come from repro.cluster.frontend.
+    package = Path(repro.__file__).parent / "dist"
+    offenders = sorted(
+        f"{caller} calls {callee}"
+        for path in package.rglob("*.py")
+        for callee in ("LoadBalancer", "ClusterMetrics", "PoissonArrivals", "fault_schedule")
+        for caller in set(_functions_calling(path, callee))
+    )
+    assert offenders == []
+
+
+def test_coordinator_merges_no_event_streams_by_hand():
+    # The front end's simulator orders membership, re-dispatch and
+    # arrival; the coordinator keeps no heap of its own.
+    path = Path(repro.__file__).parent / "dist" / "coordinator.py"
+    assert "heapq" not in set(_imported_roots(path))
+
+
+def _string_sets(path):
+    """The strings of each module-level constant that is a literal
+    tuple, list or set (or one wrapped in a call, like frozenset)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and value.args:
+            value = value.args[0]
+        if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
+            yield {
+                elt.value for elt in value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+
+
+def test_one_load_oblivious_policy_constant():
+    # The rack's sweep and the coordinator's lookahead read one set.
+    package = Path(repro.__file__).parent
+    owners = [
+        path.relative_to(package)
+        for path in sorted(package.rglob("*.py"))
+        for names in _string_sets(path)
+        if names == {"rss", "round-robin"}
+    ]
+    assert owners == [Path("cluster", "balancer.py")]
