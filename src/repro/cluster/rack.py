@@ -184,6 +184,22 @@ class ClusterServer:
             )
         return qid
 
+    def cross_link(self, time: float, base_service: Optional[float],
+                   deliver: Callable[..., None], *lead) -> None:
+        """Dispatch one request to this server at ``time`` (now): cross
+        its link as it stands at that instant and schedule
+        ``deliver(*lead, base_service)`` on arrival. Both runtimes'
+        dispatch sinks call it; only the delivery callback differs."""
+        if base_service is None:
+            # Drawn from the server's own service stream, keeping
+            # per-server statistics independent and the run replayable.
+            base_service = self.system.service_model()
+        rack = self.rack
+        delay = self.link.transfer_delay(time, rack.config.request_bytes)
+        self.fastpath.pending_deliveries += 1
+        rack.sim.schedule(delay, deliver, *lead, base_service)
+        self.dispatched += 1
+
     def enqueue(self, flow: int, arrival_time: float, base_service: float) -> None:
         """Deliver one request (called at the link-arrival instant), then
         run the rack's delivery hooks."""
@@ -416,8 +432,9 @@ class Rack:
         flow pick (flows stream), steering, service demand (target
         server's stream), next interarrival (arrivals stream) — and the
         link/latency arithmetic reuses the exact floating-point
-        expressions of :meth:`_cross_link` / ``Link.transfer_delay``, so
-        delivery timestamps match bit for bit.
+        expressions of :meth:`ClusterServer.cross_link` /
+        ``Link.transfer_delay``, so delivery timestamps match bit for
+        bit.
         """
         plan = self._chunk_plan
         index = self._plan_index
@@ -707,14 +724,7 @@ class Rack:
         """The front end's sink: cross the chosen server's link at
         ``time`` (now) and schedule the delivery."""
         server = self.servers[server_id]
-        if base_service is None:
-            # Drawn from the *target server's* service stream, keeping
-            # per-server statistics independent and the run replayable.
-            base_service = server.system.service_model()
-        delay = server.link.transfer_delay(time, self.config.request_bytes)
-        server.fastpath.pending_deliveries += 1
-        self.sim.schedule(delay, server.enqueue, flow, arrival_time, base_service)
-        server.dispatched += 1
+        server.cross_link(time, base_service, server.enqueue, flow, arrival_time)
 
     def redispatch(self, flow: int, arrival_time: float, base_service: float) -> None:
         """Retry a failed request after the failover detection delay

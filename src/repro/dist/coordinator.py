@@ -10,11 +10,15 @@ The coordinator drives the rack's own fleet front end
 (:class:`repro.cluster.frontend.FrontEnd`: balancer, crash membership,
 failover re-dispatch, all-down loss, metrics) on a simulator of its
 own, fed by an :class:`~repro.dist.replay.ArrivalSource`, and adds what
-is distributed. It advances the fleet in *lockstep windows*: the front
-end's clock runs to the window bound, each request it steers on the
-way joins the owning worker's batch, every worker simulates to the
-bound, and the reported completions are folded into the fleet metrics
-in global time order before the next window's steering decisions.
+is distributed. It advances the fleet on a grid of *windows*, a batch
+of them per exchange: the front end's clock runs to each window bound,
+and each request it steers on the way joins the owning worker's list
+for that window. A window with no arrival and nothing due on the front
+end's clock costs one comparison. Each exchange sends every worker the
+batch's end bound and only the windows in which it got a dispatch;
+the worker simulates to the bound and answers with one outcome block,
+and the reported completions are folded into the fleet metrics in
+global time order before the next batch's steering decisions.
 Membership changes and due re-dispatches fire before an arrival at the
 same instant; an arrival on a window bound goes to the next window.
 
@@ -89,10 +93,12 @@ class DistOptions:
     ``workers`` processes split the rack's servers round-robin; a fleet
     never spawns more workers than servers. ``speed_factor`` paces the
     replay against the wall clock (0 = max speed, the CI default).
-    ``lookahead`` caps how many pre-steered windows ship per RPC
-    exchange (``None`` = derive a safe depth from the balancer policy
-    and the fault schedule; ``1`` is strict lockstep, one window per
-    exchange). ``timeout_s``, ``retries``, ``backoff_s`` and
+    ``lookahead`` is a hard cap on the windows one RPC exchange spans
+    (``1`` is strict lockstep, one window per exchange). ``None``
+    derives a safe batch depth from the balancer policy and the fault
+    schedule; under a load-aware policy an exchange then also runs on
+    through following batches that steer nothing (see
+    docs/distributed.md). ``timeout_s``, ``retries``, ``backoff_s`` and
     ``backoff_cap_s`` drive the one retry loop
     (:meth:`~repro.dist.wire.Channel.await_reply`).
     ``crash_worker``/``crash_worker_at`` inject an abrupt worker death
@@ -430,39 +436,41 @@ def _worker_fault(handle: WorkerHandle, at: float, telemetry, options, info) -> 
     return fault
 
 
-def _fold_batch(replies, windows: int, front_end, in_flight, failover: float) -> None:
-    """Fold one exchange's outcomes into the front end: window by window,
-    workers in id order, then completions in global (time, server, id)
-    order, the fold order of one-window lockstep. A re-dispatch reported
-    at ``t`` falls due at ``t + failover``, as ``Rack.redispatch`` has it."""
+def _fold_batch(replies, front_end, in_flight, failover: float) -> None:
+    """Fold one exchange's outcome blocks into the front end: workers in
+    id order, then all completions in global (time, server, id) order.
+
+    That is one-window lockstep's fold order. Windows run in time order
+    and partition time, so the per-window sorted completions, concatenated,
+    are this one sort. Losses, rejects and the balancer's clamped
+    decrements commute, as no dispatch falls between them. Two
+    re-dispatches tie on due time only if they share ``t``, and so a
+    window; they keep worker-id-then-report order. A re-dispatch reported
+    at ``t`` falls due at ``t + failover``, as ``Rack.redispatch`` has it.
+    """
     balancer = front_end.balancer
     metrics = front_end.metrics
-    sorted_ids = sorted(replies)
-    for w_index in range(windows):
-        completions: List[Tuple[float, int, int, float]] = []
-        for worker_id in sorted_ids:
-            blocks = replies[worker_id].get("windows") or []
-            if w_index >= len(blocks):
-                continue
-            block = blocks[w_index]
-            for rid, t, latency, server in block["completions"]:
-                completions.append((t, server, rid, latency))
-            for rid, t, server in block["losses"]:
-                balancer.complete(server)
-                metrics.lost += 1
-                in_flight.pop(rid, None)
-            for rid, t, server in block["rejects"]:
-                balancer.complete(server)
-                metrics.rejected += 1
-                in_flight.pop(rid, None)
-            for rid, t, flow, arrival, svc in block["redispatches"]:
-                in_flight.pop(rid, None)
-                front_end.redispatch(flow, arrival, svc, t + failover)
-        completions.sort()
-        for t, server, rid, latency in completions:
+    completions: List[Tuple[float, int, int, float]] = []
+    for worker_id in sorted(replies):
+        reply = replies[worker_id]
+        for rid, t, latency, server in reply["completions"]:
+            completions.append((t, server, rid, latency))
+        for rid, t, server in reply["losses"]:
             balancer.complete(server)
-            metrics.record(t, latency, server)
+            metrics.lost += 1
             in_flight.pop(rid, None)
+        for rid, t, server in reply["rejects"]:
+            balancer.complete(server)
+            metrics.rejected += 1
+            in_flight.pop(rid, None)
+        for rid, t, flow, arrival, svc in reply["redispatches"]:
+            in_flight.pop(rid, None)
+            front_end.redispatch(flow, arrival, svc, t + failover)
+    completions.sort()
+    for t, server, rid, latency in completions:
+        balancer.complete(server)
+        metrics.record(t, latency, server)
+        in_flight.pop(rid, None)
 
 
 def run_cluster_dist(
@@ -523,8 +531,8 @@ def run_cluster_dist(
     }
 
     # The rack's front end on a simulator of its own. Its sink appends
-    # each steered request to the owning worker's batch for the window
-    # being planned; ``in_flight`` remembers who holds what.
+    # each steered request to the owning worker's dispatches for the
+    # window being planned; ``in_flight`` remembers who holds what.
     batches: Dict[int, List[Dict[str, Any]]] = {}
     in_flight: Dict[int, Tuple[int, float, int]] = {}
     ids = itertools.count(1)
@@ -566,6 +574,13 @@ def run_cluster_dist(
     window = _pick_window(failover)
     windows_per_chunk = max(1, round(CHECK_CHUNK_S / window))
     max_ahead = _max_ahead(options, config.balancer, windows_per_chunk)
+    # Where the derived load-aware depth applies, an exchange runs on
+    # through following batches that hold no steering decision.
+    run_on = (
+        options.lookahead is None
+        and options.speed_factor == 0
+        and config.balancer not in LOAD_OBLIVIOUS_POLICIES
+    )
     pacer = ReplayPacer(options.speed_factor)
 
     pool = WorkerPool(
@@ -650,8 +665,21 @@ def run_cluster_dist(
                     return max(start, batch_start) + failover
             return math.inf
 
+        def next_batch_end(start: float, index: int) -> float:
+            """The end bound of the batch the planner would form from
+            grid window ``index`` at ``start`` with no crash horizon."""
+            for _ in range(max_ahead):
+                start = min(start + window, total)
+                index += 1
+                if index % windows_per_chunk == 0 or start >= total:
+                    break
+            return start
+
+        # ``lookahead`` holds the one read-ahead trace record (as
+        # take_window keeps it), ``next_arrival`` its time.
         source_iter = iter(source)
-        lookahead: List[Any] = []
+        lookahead: List[Any] = list(itertools.islice(source_iter, 1))
+        next_arrival = lookahead[0].time if lookahead else math.inf
         window_index = 0
         window_start = 0.0
         exchanges = 0
@@ -659,54 +687,63 @@ def run_cluster_dist(
         pacer.start(0.0)
 
         while window_start < total:
-            # -- plan and steer one batch of windows ----------------------
+            # -- plan and steer one exchange ------------------------------
             horizon = batch_horizon(window_start)
             step_windows: Dict[int, List[Dict[str, Any]]] = {
                 h.worker_id: [] for h in pool.alive()
             }
-            batch_bounds: List[float] = []
-            while len(batch_bounds) < max_ahead and window_start < total:
+            in_batch = 0
+            while True:
                 window_end = min(window_start + window, total)
-                if batch_bounds and window_end >= horizon:
+                if in_batch and window_end >= horizon:
                     # A crash-born re-dispatch could come due inside this
                     # window; stop the batch so it is steered with full
                     # knowledge next exchange. (The first window is always
                     # safe: that IS the lockstep granularity.)
                     break
-                arrivals = take_window(lookahead, source_iter, window_end)
-                if not arrivals and sim.peek() > window_end:
-                    # Nothing happens fleet-side this window: ship a bare
-                    # clock advance. One shared dict serves every worker
-                    # (encode-only, never mutated).
-                    empty = {"until": window_end, "dispatches": ()}
-                    for window_list in step_windows.values():
-                        window_list.append(empty)
-                else:
+                # A quiet window (the read-ahead record at or past its
+                # bound, nothing due on the front end's clock by it)
+                # costs this one comparison: no steering, no bytes.
+                if next_arrival < window_end or sim.peek() <= window_end:
                     # Membership changes and re-dispatches due at or
                     # before each arrival fire first; those on the bound
                     # stay in this window, arrivals on it go to the next.
                     # Arrivals go in time order (stably), so a trace out
                     # of order within one window still replays.
+                    arrivals = take_window(lookahead, source_iter, window_end)
+                    next_arrival = lookahead[0].time if lookahead else math.inf
                     batches = {worker_id: [] for worker_id in step_windows}
                     for record in sorted(arrivals, key=attrgetter("time")):
                         sim.run(until=record.time)
                         front_end.arrive(record.flow, record.time, record.service_s)
                     sim.run(until=window_end)
-                    for worker_id, window_list in step_windows.items():
-                        window_list.append({
-                            "until": window_end,
-                            "dispatches": batches[worker_id],
-                        })
-                batch_bounds.append(window_end)
+                    for worker_id, records in batches.items():
+                        if records:
+                            step_windows[worker_id].append(
+                                {"start": window_start, "dispatches": records}
+                            )
                 window_start = window_end
                 window_index += 1
-                if window_index % windows_per_chunk == 0:
+                in_batch += 1
+                if window_index % windows_per_chunk == 0 or window_start >= total:
                     break  # chunk boundary: where target checks happen
+                if in_batch == max_ahead:
+                    # The batch is full. Run on through the next one
+                    # only if it steers nothing (no arrival, nothing due
+                    # by its end) and no crash-born re-dispatch can come:
+                    # every batch with a decision still starts an
+                    # exchange, so each decision sees the same folds.
+                    if not (run_on and horizon == math.inf):
+                        break
+                    end = next_batch_end(window_start, window_index)
+                    if next_arrival < end or sim.peek() <= end:
+                        break
+                    in_batch = 0
 
-            batch_end = batch_bounds[-1]
+            batch_end = window_start
             final_batch = target_completions is None and window_start >= total
             steps = {
-                worker_id: {"type": "step", "windows": window_list}
+                worker_id: {"type": "step", "until": batch_end, "windows": window_list}
                 for worker_id, window_list in step_windows.items()
             }
             if final_batch:
@@ -735,7 +772,7 @@ def run_cluster_dist(
                     "every worker died; the fleet cannot make progress"
                 )
 
-            _fold_batch(replies, len(batch_bounds), front_end, in_flight, failover)
+            _fold_batch(replies, front_end, in_flight, failover)
             for worker_id in sorted(replies):
                 collected = replies[worker_id].get("collected")
                 if collected is not None:

@@ -28,16 +28,17 @@ Message shapes (the ``type`` field selects the handler):
                 schedule, measurement window, and (for tests) an
                 optional crash-injection point.
 ``ready``       worker -> coordinator: episode built, servers listed.
-``step``        coordinator -> worker: one *batch* of pre-steered
-                windows — per window the dispatch records and the
-                sim-time bound to advance to; optionally a piggybacked
-                ``collect`` request when the batch is known to be the
-                run's last.
-``step_ok``     worker -> coordinator: per window, the completions,
-                losses, re-dispatch requests, and rejections (plus the
-                ``collected`` payload when collect was piggybacked, and
-                any pending telemetry frames when the coordinator
-                attached a telemetry bus).
+``step``        coordinator -> worker: one exchange — the sim-time
+                bound ``until`` to advance to, and only the windows in
+                which this worker got a dispatch, each with its opening
+                bound ``start`` and its dispatch records; optionally a
+                piggybacked ``collect`` request when the exchange is
+                known to be the run's last.
+``step_ok``     worker -> coordinator: one outcome block for the whole
+                exchange — the completions, losses, rejections and
+                re-dispatch requests (plus the ``collected`` payload
+                when collect was piggybacked, and any pending telemetry
+                frames when the coordinator attached a telemetry bus).
 ``heartbeat``   worker -> coordinator, interleaved while a long ``step``
                 is still running: liveness, the worker's current
                 simulated time, and pending telemetry frames. Never a
@@ -69,7 +70,7 @@ import random
 import socket
 import struct
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 # Frame header: one network-order u32 length.
 _HEADER = struct.Struct("!I")
@@ -92,13 +93,15 @@ _BINARY_MAGIC = 0
 _KIND_STEP = 1
 _KIND_STEP_OK = 2
 
-_STEP_HEAD = struct.Struct("!BBQBI")  # magic, kind, seq, flags, n_windows
-_STEP_WINDOW = struct.Struct("!dI")  # until, n_dispatches
+# magic, kind, seq, flags, n_windows, then the exchange's bound ``until``
+_STEP_HEAD = struct.Struct("!BBQBId")
+_STEP_WINDOW = struct.Struct("!dI")  # start, n_dispatches
 _DISPATCH = struct.Struct("!QdIIB")  # id, t, flow, server, opt flags
 _F64 = struct.Struct("!d")
 _U32 = struct.Struct("!I")
-_OK_HEAD = struct.Struct("!BBQdBI")  # magic, kind, seq, t, flags, n_windows
-_OK_WINDOW = struct.Struct("!IIII")  # completions, losses, rejects, redisp
+# magic, kind, seq, t, flags, worker id, then the block's record counts:
+# completions, losses, rejects, redispatches
+_OK_HEAD = struct.Struct("!BBQdBIIIII")
 _COMPLETION = struct.Struct("!QddI")  # id, t, latency, server
 _LOSS = struct.Struct("!QdI")  # id, t, server  (rejects share the layout)
 _REDISPATCH = struct.Struct("!QdIdd")  # id, t, flow, arrival, service
@@ -161,14 +164,14 @@ def _encode_step(message: Dict[str, Any]) -> bytes:
     parts = [
         _STEP_HEAD.pack(
             _BINARY_MAGIC, _KIND_STEP, int(message.get("seq", 0)),
-            flags, len(windows),
+            flags, len(windows), float(message.get("until", 0.0)),
         )
     ]
     if collect is not None:
         parts.append(_F64.pack(float(collect["measure_end"])))
     for window in windows:
-        dispatches = window.get("dispatches", ())
-        parts.append(_STEP_WINDOW.pack(float(window["until"]), len(dispatches)))
+        dispatches = window["dispatches"]
+        parts.append(_STEP_WINDOW.pack(float(window["start"]), len(dispatches)))
         for record in dispatches:
             arr = record.get("arr")
             svc = record.get("svc")
@@ -189,7 +192,10 @@ def _encode_step(message: Dict[str, Any]) -> bytes:
 
 
 def _encode_step_ok(message: Dict[str, Any]) -> bytes:
-    windows = message.get("windows", [])
+    completions = message.get("completions", ())
+    losses = message.get("losses", ())
+    rejects = message.get("rejects", ())
+    redispatches = message.get("redispatches", ())
     collected = message.get("collected")
     telemetry = message.get("telemetry")
     flags = _HAS_COLLECT if collected is not None else 0
@@ -198,28 +204,19 @@ def _encode_step_ok(message: Dict[str, Any]) -> bytes:
     parts = [
         _OK_HEAD.pack(
             _BINARY_MAGIC, _KIND_STEP_OK, int(message.get("seq", 0)),
-            float(message.get("t", 0.0)), flags, len(windows),
-        ),
-        _U32.pack(int(message.get("worker_id", 0))),
-    ]
-    for window in windows:
-        completions = window.get("completions", ())
-        losses = window.get("losses", ())
-        rejects = window.get("rejects", ())
-        redispatches = window.get("redispatches", ())
-        parts.append(
-            _OK_WINDOW.pack(
-                len(completions), len(losses), len(rejects), len(redispatches)
-            )
+            float(message.get("t", 0.0)), flags,
+            int(message.get("worker_id", 0)),
+            len(completions), len(losses), len(rejects), len(redispatches),
         )
-        for rid, t, latency, server in completions:
-            parts.append(_COMPLETION.pack(rid, t, latency, server))
-        for rid, t, server in losses:
-            parts.append(_LOSS.pack(rid, t, server))
-        for rid, t, server in rejects:
-            parts.append(_LOSS.pack(rid, t, server))
-        for rid, t, flow, arrival, svc in redispatches:
-            parts.append(_REDISPATCH.pack(rid, t, flow, arrival, svc))
+    ]
+    for rid, t, latency, server in completions:
+        parts.append(_COMPLETION.pack(rid, t, latency, server))
+    for rid, t, server in losses:
+        parts.append(_LOSS.pack(rid, t, server))
+    for rid, t, server in rejects:
+        parts.append(_LOSS.pack(rid, t, server))
+    for rid, t, flow, arrival, svc in redispatches:
+        parts.append(_REDISPATCH.pack(rid, t, flow, arrival, svc))
     if collected is not None:
         blob = json.dumps(collected, separators=(",", ":")).encode("utf-8")
         parts.append(_U32.pack(len(blob)))
@@ -247,16 +244,16 @@ def _decode_binary(body: bytes) -> Dict[str, Any]:
 
 
 def _decode_step(body: bytes) -> Dict[str, Any]:
-    _magic, _kind, seq, flags, n_windows = _STEP_HEAD.unpack_from(body, 0)
+    _magic, _kind, seq, flags, n_windows, until = _STEP_HEAD.unpack_from(body, 0)
     offset = _STEP_HEAD.size
-    message: Dict[str, Any] = {"type": "step", "seq": seq}
+    message: Dict[str, Any] = {"type": "step", "seq": seq, "until": until}
     if flags & _HAS_COLLECT:
         (measure_end,) = _F64.unpack_from(body, offset)
         offset += _F64.size
         message["collect"] = {"measure_end": measure_end}
     windows = []
     for _ in range(n_windows):
-        until, n_dispatches = _STEP_WINDOW.unpack_from(body, offset)
+        start, n_dispatches = _STEP_WINDOW.unpack_from(body, offset)
         offset += _STEP_WINDOW.size
         dispatches = []
         for _ in range(n_dispatches):
@@ -270,43 +267,37 @@ def _decode_step(body: bytes) -> Dict[str, Any]:
                 (record["svc"],) = _F64.unpack_from(body, offset)
                 offset += _F64.size
             dispatches.append(record)
-        windows.append({"until": until, "dispatches": dispatches})
+        windows.append({"start": start, "dispatches": dispatches})
     message["windows"] = windows
     return message
 
 
 def _decode_step_ok(body: bytes) -> Dict[str, Any]:
-    _magic, _kind, seq, t, flags, n_windows = _OK_HEAD.unpack_from(body, 0)
+    (
+        _magic, _kind, seq, t, flags, worker_id,
+        n_comp, n_loss, n_rej, n_red,
+    ) = _OK_HEAD.unpack_from(body, 0)
     offset = _OK_HEAD.size
-    (worker_id,) = _U32.unpack_from(body, offset)
-    offset += _U32.size
-    windows: List[Dict[str, Any]] = []
-    for _ in range(n_windows):
-        n_comp, n_loss, n_rej, n_red = _OK_WINDOW.unpack_from(body, offset)
-        offset += _OK_WINDOW.size
-        completions = []
-        for _ in range(n_comp):
-            completions.append(list(_COMPLETION.unpack_from(body, offset)))
-            offset += _COMPLETION.size
-        losses = []
-        for _ in range(n_loss):
-            losses.append(list(_LOSS.unpack_from(body, offset)))
-            offset += _LOSS.size
-        rejects = []
-        for _ in range(n_rej):
-            rejects.append(list(_LOSS.unpack_from(body, offset)))
-            offset += _LOSS.size
-        redispatches = []
-        for _ in range(n_red):
-            redispatches.append(list(_REDISPATCH.unpack_from(body, offset)))
-            offset += _REDISPATCH.size
-        windows.append({
-            "completions": completions, "losses": losses,
-            "rejects": rejects, "redispatches": redispatches,
-        })
+    completions = []
+    for _ in range(n_comp):
+        completions.append(list(_COMPLETION.unpack_from(body, offset)))
+        offset += _COMPLETION.size
+    losses = []
+    for _ in range(n_loss):
+        losses.append(list(_LOSS.unpack_from(body, offset)))
+        offset += _LOSS.size
+    rejects = []
+    for _ in range(n_rej):
+        rejects.append(list(_LOSS.unpack_from(body, offset)))
+        offset += _LOSS.size
+    redispatches = []
+    for _ in range(n_red):
+        redispatches.append(list(_REDISPATCH.unpack_from(body, offset)))
+        offset += _REDISPATCH.size
     message = {
         "type": "step_ok", "seq": seq, "worker_id": worker_id, "t": t,
-        "windows": windows,
+        "completions": completions, "losses": losses,
+        "rejects": rejects, "redispatches": redispatches,
     }
     if flags & _HAS_COLLECT:
         (blob_len,) = _U32.unpack_from(body, offset)

@@ -12,22 +12,26 @@ the run's fault schedule (carried once, in ``configure``) for this
 worker's servers. A server here simulates exactly as on the
 shared-timeline rack; only the reporting of outcomes differs.
 
-Each ``step`` carries a *batch* of lookahead windows. The worker
-executes them strictly in sequence — per window it schedules one event
-per dispatch record at the record's dispatch time, which does what
-the rack's front-end sink ``Rack._cross_link`` does there (draw the
-service demand from the target server's own stream, cross the link,
-schedule the delivery), advances the local clock to that window's
-bound in ``max_events`` slices (emitting ``heartbeat`` frames between
-slices so the coordinator can tell a slow batch from a dead process),
-and snapshots the window's outcomes into its own reply block. Scheduling window N+1's arrivals
-only after window N has fully run keeps the event heap's
-same-timestamp insertion order identical to the one-RPC-per-window
-lockstep protocol, which is what preserves bit-exactness under
-lookahead. Requests delivered to a down server, stale-epoch
-completions, and full-queue rejections are reported back per window in
-``step_ok`` for the coordinator's balancer and failover accounting; a
-piggybacked ``collect`` request (the run's final batch) returns the
+Each ``step`` is one exchange: the bound ``until`` to advance to, and
+only the windows in which this worker got a dispatch, each with its
+opening bound ``start``. Per listed window the worker advances its
+clock to ``start``, then schedules one event per dispatch record at the
+record's dispatch time, which crosses the target server's link
+(:meth:`~repro.cluster.rack.ClusterServer.cross_link`, as the rack's
+front-end sink does); after the last window it advances to ``until``.
+A window's dispatches thus enter the heap once every event up to the
+window's opening bound has run, the point at which one-window lockstep
+scheduled them, so every dispatch keeps its sequence number relative
+to every other event and ties at equal instants pop as in lockstep.
+Only the run bounds differ: a quiet window costs no separate advance.
+The clock advances in ``max_events`` slices, emitting ``heartbeat``
+frames between slices so the coordinator can tell a slow exchange from
+a dead process, and, with telemetry on, stops at each cadence instant
+on the way to sample there. The reply is one outcome block for the
+exchange: completions, losses (stale-epoch or down-server
+completions), full-queue rejections and requests to re-dispatch, for
+the coordinator's balancer and failover accounting; a piggybacked
+``collect`` request (the run's final exchange) returns the
 ``collected`` payload inside the same reply.
 
 Replies are cached per ``seq`` (at-most-once): a retried request returns
@@ -53,15 +57,6 @@ from repro.queueing.taskqueue import WorkItem
 # step. Small enough for sub-second liveness at any realistic rate,
 # large enough that the check never shows up in a profile.
 DEFAULT_HEARTBEAT_EVENTS = 250_000
-
-# Outcome block for a window with nothing to report (sparse replays are
-# mostly these). Tuples keep it safely immutable for reuse.
-_EMPTY_BLOCK = {
-    "completions": (),
-    "losses": (),
-    "rejects": (),
-    "redispatches": (),
-}
 
 
 class WorkerServer(ClusterServer):
@@ -138,7 +133,7 @@ class WorkerHost:
         self._crash_at: Optional[float] = None
         self._last_seq: Optional[int] = None
         self._last_reply: Optional[Dict[str, Any]] = None
-        # Per-window outboxes, drained into each step_ok reply.
+        # Outboxes, drained into each step_ok reply.
         self._completions: List[List[float]] = []
         self._losses: List[List[float]] = []
         self._rejects: List[List[float]] = []
@@ -301,36 +296,53 @@ class WorkerHost:
         arrival_time: float,
         base_service: Optional[float],
     ) -> None:
-        """What the rack's sink ``Rack._cross_link`` does once the front
-        end picked ``server``, at the record's dispatch time: draw the service
-        demand from the server's own stream, cross its link as the link
-        stands now, and schedule the delivery."""
-        if base_service is None:
-            base_service = server.system.service_model()
-        delay = server.link.transfer_delay(self.sim.now, self.config.request_bytes)
-        server.fastpath.pending_deliveries += 1
-        self.sim.schedule(
-            delay, server.deliver, req_id, flow, arrival_time, base_service
+        """One dispatch record, at its dispatch time: cross the chosen
+        server's link and schedule the delivery, as the rack does."""
+        server.cross_link(
+            self.sim.now, base_service, server.deliver, req_id, flow, arrival_time
         )
-        server.dispatched += 1
         if self.telemetry is not None:
             self.telemetry.dispatches.inc()
 
-    def _run_window(self, window: Dict[str, Any]) -> Dict[str, Any]:
-        """Schedule one window's dispatches, run to its bound, and
-        return the window's outcome block."""
+    def _advance(self, until: float) -> None:
+        """Run the local clock to ``until`` in ``max_events`` slices,
+        heartbeating between slices and sampling telemetry at each
+        cadence instant on the way."""
         sim = self.sim
-        until = float(window["until"])
-        dispatches = window["dispatches"]
-        if dispatches:
+        telemetry = self.telemetry
+        while True:
+            bound = until
+            if telemetry is not None and telemetry.next_sample_t < until:
+                bound = telemetry.next_sample_t
+            sim.run(until=bound, max_events=self.heartbeat_events)
+            if sim.now >= bound and (not sim.pending or sim.peek() > bound):
+                if telemetry is not None:
+                    telemetry.maybe_sample(bound)
+                if bound == until:
+                    return
+                continue
+            heartbeat = {
+                "type": "heartbeat", "worker_id": self.worker_id, "t": sim.now,
+            }
+            if telemetry is not None:
+                # Long exchanges stream through heartbeats so the
+                # coordinator's view stays fresh mid-step.
+                frames = telemetry.drain()
+                if frames:
+                    heartbeat["telemetry"] = frames
+            self.channel.send(heartbeat)
+
+    def _handle_step(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        schedule_at = self.sim.schedule_at
+        dispatch = self._dispatch
+        servers = self.servers
+        for window in msg["windows"]:
+            self._advance(window["start"])
             # The coordinator lists records in its steering order (by
             # time, then id); the heap keeps that order among equal
             # times, so service-stream draws and link FIFO state follow
             # the rack's dispatch order.
-            schedule_at = sim.schedule_at
-            dispatch = self._dispatch
-            servers = self.servers
-            for record in dispatches:
+            for record in window["dispatches"]:
                 t = record["t"]
                 schedule_at(
                     t,
@@ -341,35 +353,11 @@ class WorkerHost:
                     record.get("arr", t),
                     record.get("svc"),
                 )
-        # Advance to the bound in slices, heartbeating between them.
-        telemetry = self.telemetry
-        while True:
-            sim.run(until=until, max_events=self.heartbeat_events)
-            if sim.now >= until and (not sim.pending or sim.peek() > until):
-                break
-            heartbeat = {
-                "type": "heartbeat", "worker_id": self.worker_id, "t": sim.now,
-            }
-            if telemetry is not None:
-                # Long windows stream through heartbeats so the
-                # coordinator's view stays fresh mid-step.
-                telemetry.maybe_sample(sim.now)
-                frames = telemetry.drain()
-                if frames:
-                    heartbeat["telemetry"] = frames
-            self.channel.send(heartbeat)
-        if telemetry is not None:
-            telemetry.maybe_sample(sim.now)
-        if not (
-            self._completions
-            or self._losses
-            or self._rejects
-            or self._redispatches
-        ):
-            # Quiet window: one shared immutable block serves every
-            # reply (encode-only, never mutated).
-            return _EMPTY_BLOCK
-        block = {
+        self._advance(msg["until"])
+        reply = {
+            "type": "step_ok",
+            "worker_id": self.worker_id,
+            "t": self.sim.now,
             "completions": self._completions,
             "losses": self._losses,
             "rejects": self._rejects,
@@ -377,24 +365,14 @@ class WorkerHost:
         }
         self._completions, self._losses = [], []
         self._rejects, self._redispatches = [], []
-        return block
-
-    def _handle_step(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        blocks = [self._run_window(window) for window in msg["windows"]]
-        reply = {
-            "type": "step_ok",
-            "worker_id": self.worker_id,
-            "t": self.sim.now,
-            "windows": blocks,
-        }
         collect = msg.get("collect")
         if collect is not None:
-            # The coordinator knew this batch ends the run: fold the
-            # collect round-trip into the same exchange.
+            # The coordinator knew this exchange ends the run: fold
+            # the collect round-trip into it.
             reply["collected"] = self._handle_collect(collect)
         if self.telemetry is not None:
             # _handle_collect flushes into its own payload, so this
-            # drain carries only frames sampled during the windows.
+            # drain carries only frames sampled during the exchange.
             frames = self.telemetry.drain()
             if frames:
                 reply["telemetry"] = frames

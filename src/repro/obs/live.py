@@ -172,6 +172,10 @@ class TelemetrySampler:
         self._events: List[Dict[str, Any]] = []
         self._pending: List[Dict[str, Any]] = []
         self._seq = 0
+        # Cadence instant k is ``k * interval_s``, from an integer count:
+        # instants derived from ``now`` by division can round back onto
+        # ``now`` itself (2.001 / 0.001 == 2000.9999999999998).
+        self._next_k = 1
         self._next_sample_t = self.interval_s if self.enabled else math.inf
 
     def record_event(self, kind: str, **fields: Any) -> None:
@@ -181,6 +185,11 @@ class TelemetrySampler:
         event: Dict[str, Any] = {"kind": str(kind)}
         event.update(fields)
         self._events.append(event)
+
+    @property
+    def next_sample_t(self) -> float:
+        """The next cadence instant (``inf`` with sampling off)."""
+        return self._next_sample_t
 
     def maybe_sample(self, now: float) -> None:
         """Emit a frame if simulated time crossed the cadence boundary."""
@@ -206,9 +215,14 @@ class TelemetrySampler:
         }
         self._seq += 1
         self._pending.append(frame)
-        # Next boundary strictly after now: idle stretches skip ahead
+        # Next instant strictly after now: idle stretches skip ahead
         # instead of emitting a burst of empty catch-up frames.
-        self._next_sample_t = (math.floor(now / self.interval_s) + 1) * self.interval_s
+        interval = self.interval_s
+        k = max(self._next_k, int(now / interval))
+        while k * interval <= now:
+            k += 1
+        self._next_k = k
+        self._next_sample_t = k * interval
         return frame
 
     def drain(self) -> List[Dict[str, Any]]:

@@ -159,10 +159,11 @@ def json_frame(message):
 
 
 def fuzz_step(rng):
+    # Only windows with a dispatch are listed; ``until`` bounds the step.
     windows = []
     for _ in range(rng.randrange(4)):
         dispatches = []
-        for _ in range(rng.randrange(5)):
+        for _ in range(rng.randrange(1, 5)):
             record = {
                 "id": rng.randrange(2 ** 53),
                 "t": rng.random() * 10,
@@ -174,8 +175,13 @@ def fuzz_step(rng):
             if rng.random() < 0.5:
                 record["svc"] = rng.random() * 1e-5
             dispatches.append(record)
-        windows.append({"until": rng.random() * 10, "dispatches": dispatches})
-    message = {"type": "step", "seq": rng.randrange(2 ** 31), "windows": windows}
+        windows.append({"start": rng.random() * 10, "dispatches": dispatches})
+    message = {
+        "type": "step",
+        "seq": rng.randrange(2 ** 31),
+        "until": rng.random() * 10,
+        "windows": windows,
+    }
     if rng.random() < 0.3:
         message["collect"] = {"measure_end": rng.random() * 10}
     return message
@@ -220,34 +226,30 @@ def fuzz_telemetry_frame(rng):
 
 
 def fuzz_step_ok(rng):
-    windows = []
-    for _ in range(rng.randrange(4)):
-        windows.append({
-            "completions": [
-                [rng.randrange(2 ** 53), rng.random(), rng.random() * 1e-4,
-                 rng.randrange(2 ** 16)]
-                for _ in range(rng.randrange(4))
-            ],
-            "losses": [
-                [rng.randrange(2 ** 53), rng.random(), rng.randrange(2 ** 16)]
-                for _ in range(rng.randrange(3))
-            ],
-            "rejects": [
-                [rng.randrange(2 ** 53), rng.random(), rng.randrange(2 ** 16)]
-                for _ in range(rng.randrange(3))
-            ],
-            "redispatches": [
-                [rng.randrange(2 ** 53), rng.random(), rng.randrange(2 ** 31),
-                 rng.random(), rng.random() * 1e-5]
-                for _ in range(rng.randrange(3))
-            ],
-        })
+    # One outcome block per exchange.
     message = {
         "type": "step_ok",
         "seq": rng.randrange(2 ** 31),
         "worker_id": rng.randrange(64),
         "t": rng.random() * 100,
-        "windows": windows,
+        "completions": [
+            [rng.randrange(2 ** 53), rng.random(), rng.random() * 1e-4,
+             rng.randrange(2 ** 16)]
+            for _ in range(rng.randrange(6))
+        ],
+        "losses": [
+            [rng.randrange(2 ** 53), rng.random(), rng.randrange(2 ** 16)]
+            for _ in range(rng.randrange(3))
+        ],
+        "rejects": [
+            [rng.randrange(2 ** 53), rng.random(), rng.randrange(2 ** 16)]
+            for _ in range(rng.randrange(3))
+        ],
+        "redispatches": [
+            [rng.randrange(2 ** 53), rng.random(), rng.randrange(2 ** 31),
+             rng.random(), rng.random() * 1e-5]
+            for _ in range(rng.randrange(3))
+        ],
     }
     if rng.random() < 0.3:
         message["collected"] = {
@@ -279,7 +281,7 @@ def test_wire_v2_roundtrip_matches_v1_fuzzed(fuzzer):
 def test_wire_v2_frames_are_binary_and_smaller_on_hot_messages():
     rng = random.Random(5)
     message = fuzz_step(rng)
-    while not any(w["dispatches"] for w in message["windows"]):
+    while not message["windows"]:
         message = fuzz_step(rng)
     as_json = json_frame(message)
     binary = encode_frame(message)

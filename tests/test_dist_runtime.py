@@ -345,3 +345,105 @@ def test_records_out_of_order_within_a_window_replay_in_time_order():
     ]
     assert runs[0].metrics.count == 3
     assert runs[1].metrics.fingerprint() == runs[0].metrics.fingerprint()
+
+
+# -- exchanges pay for their work, not for the windows they span ---------------
+
+
+# Sparse traffic leaves most windows quiet. A 2 ms link keeps requests in
+# flight long enough for the crash profile to catch some on the wire
+# (they re-dispatch) and for stale feedback to move load-aware picks.
+SPARSE_RATE = 4000.0
+SPARSE_DURATION = 0.03
+LOAD_AWARE_GRID = [
+    (balancer, fault)
+    for balancer in ("p2c", "least-loaded")
+    for fault in ("none", "crash", "straggler", "link-degrade")
+]
+
+
+@pytest.mark.parametrize("balancer,fault", LOAD_AWARE_GRID)
+def test_load_aware_exchanges_run_on_only_through_batches_that_steer_nothing(
+    balancer, fault
+):
+    # The derived depth runs an exchange on through batches with no
+    # steering decision; the batch boundaries stay those of an explicit
+    # cap at the same depth, so every decision sees the same folds.
+    from repro.dist import PoissonSource
+    from repro.dist.coordinator import LOAD_AWARE_LOOKAHEAD
+
+    config = small_config(
+        balancer=balancer, fault_profile=fault, seed=0, link_propagation_s=2e-3
+    )
+    auto, capped = (
+        run_cluster_dist(
+            config, duration=SPARSE_DURATION, warmup=0.0,
+            source=PoissonSource(SPARSE_RATE, config.num_flows, config.flow_skew, 0),
+            options=DistOptions(workers=2, lookahead=lookahead),
+        )
+        for lookahead in (None, LOAD_AWARE_LOOKAHEAD)
+    )
+    assert auto.metrics.fingerprint() == capped.metrics.fingerprint()
+    assert auto.metrics.dispatched == capped.metrics.dispatched
+    assert auto.info["windows"] == capped.info["windows"]
+    assert auto.info["lookahead"] == capped.info["lookahead"] == LOAD_AWARE_LOOKAHEAD
+    if fault == "none":
+        assert auto.info["exchanges"] < capped.info["exchanges"]
+    if fault == "crash":
+        assert auto.metrics.redispatched > 0
+
+
+def test_a_quiet_step_costs_the_same_bytes_for_any_span(monkeypatch):
+    # A step lists only the windows with a dispatch: one spanning eight
+    # empty grid windows encodes to as many bytes as one spanning one.
+    from repro.dist import TraceRecord
+    from repro.dist.coordinator import WorkerPool
+    from repro.dist.wire import encode_frame
+
+    config = small_config(balancer="rss")
+    original = WorkerPool.broadcast
+    quiet_sizes = {}
+    for lookahead in (1, 8):
+        steps = []
+
+        def spy(pool, messages, expect, *args, **kwargs):
+            if expect == "step_ok":
+                steps.extend(messages.values())
+            return original(pool, messages, expect, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "broadcast", spy)
+        run = run_cluster_dist(
+            config, duration=0.004, warmup=0.0,
+            source=[TraceRecord(time=1e-3, flow=5)],
+            options=DistOptions(workers=1, lookahead=lookahead),
+        )
+        assert run.info["windows"] == lookahead * run.info["exchanges"]
+        assert sum(len(step["windows"]) for step in steps) == 1
+        quiet_sizes[lookahead] = {
+            len(encode_frame(step)) for step in steps
+            if not step["windows"] and "collect" not in step
+        }
+    assert quiet_sizes[1] == quiet_sizes[8] and len(quiet_sizes[1]) == 1
+
+
+@pytest.mark.parametrize("balancer", ["rss", "p2c"])
+def test_completions_fold_in_time_order(monkeypatch, balancer):
+    # Each exchange folds its completions, from every worker and every
+    # window it spans, in one global time order, and no completion is
+    # reported in an exchange after the one that covers its instant.
+    from repro.cluster.metrics import ClusterMetrics
+
+    recorded = []
+    original = ClusterMetrics.record
+
+    def record(self, t, latency, server):
+        recorded.append(t)
+        return original(self, t, latency, server)
+
+    monkeypatch.setattr(ClusterMetrics, "record", record)
+    dist = run_cluster_dist(
+        small_config(balancer=balancer), load=LOAD, duration=DURATION,
+        warmup=WARMUP, options=DistOptions(workers=2),
+    )
+    assert len(recorded) >= dist.metrics.count > 0
+    assert recorded == sorted(recorded)

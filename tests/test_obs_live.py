@@ -179,6 +179,25 @@ def test_sampler_cadence_and_idle_skip():
     assert math.isclose(sampler._next_sample_t, 0.011)
 
 
+def test_sampler_emits_one_frame_per_cadence_instant():
+    # A clock stopped exactly at each instant k * interval_s (as a dist
+    # worker stops it) samples once there; asking again at the same
+    # instant emits nothing. Deriving the next instant from now by
+    # division lands back on now at k = 2001 (2.001 / 0.001 rounds
+    # below 2001), which sampled that instant twice.
+    interval = 1e-3
+    sampler = TelemetrySampler(0, interval_s=interval)
+    per_instant = []
+    for k in range(1, 20_001):
+        now = k * interval
+        sampler.maybe_sample(now)
+        sampler.maybe_sample(now)
+        frames = sampler.drain()
+        per_instant.append(len(frames))
+        assert all(frame["t"] == now for frame in frames)
+    assert per_instant == [1] * 20_000
+
+
 def test_sampler_frames_are_incremental_and_seq_numbered():
     sampler = TelemetrySampler(0, interval_s=1e-3)
     sampler.completions.inc(4)

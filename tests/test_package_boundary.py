@@ -278,16 +278,28 @@ def test_step_windows_carry_no_fault_directives():
     step = {
         "type": "step",
         "seq": 1,
+        "until": 2e-3,
         "windows": [
-            {"until": 1e-3, "dispatches": []},
-            {"until": 2e-3, "dispatches": [{"id": 1, "t": 1.5e-3, "flow": 3, "server": 0}]},
+            {"start": 1e-3, "dispatches": [{"id": 1, "t": 1.5e-3, "flow": 3, "server": 0}]},
         ],
     }
     decoded = decode_body(encode_frame(step)[4:])
     assert [sorted(window) for window in decoded["windows"]] == [
-        ["dispatches", "until"],
-        ["dispatches", "until"],
+        ["dispatches", "start"],
     ]
+
+
+def test_dist_crosses_no_link_of_its_own():
+    # A worker's dispatch crosses the link through ClusterServer.cross_link,
+    # the rack's own arithmetic: service draw, transfer delay, delivery.
+    package = Path(repro.__file__).parent / "dist"
+    offenders = sorted(
+        f"{caller} calls {callee}"
+        for path in package.rglob("*.py")
+        for callee in ("transfer_delay", "service_model")
+        for caller in set(_functions_calling(path, callee))
+    )
+    assert offenders == []
 
 
 # -- one fleet front end for the rack and the dist coordinator -----------------
